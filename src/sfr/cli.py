@@ -147,17 +147,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
+def _pooled_entry(entry_id: str, subject_id: str, fmap, cfg: RunConfig) -> GalleryEntry:
+    """A gallery entry or probe from one feature map: its global average and
+    its pyramid-pooled columns, normalized when cfg says so."""
+    matrix = pyramid_pool(fmap, cfg.pyramid())
+    if cfg.normalize:
+        matrix = l2_normalize_columns(matrix)
+    return GalleryEntry(entry_id, subject_id, global_average_pool(fmap), matrix)
+
+
 def _load_entry(manifest_entry, cfg: RunConfig, base: Path) -> GalleryEntry:
     path = Path(manifest_entry.path)
     if not path.is_absolute():
         path = base / path
-    fmap = load_feature_map(path)
-    matrix = pyramid_pool(fmap, cfg.pyramid())
-    if cfg.normalize:
-        matrix = l2_normalize_columns(matrix)
-    return GalleryEntry(
-        manifest_entry.entry_id, manifest_entry.subject_id, global_average_pool(fmap), matrix
-    )
+    return _pooled_entry(manifest_entry.entry_id, manifest_entry.subject_id, load_feature_map(path), cfg)
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
@@ -246,17 +249,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
-    pyramid = cfg.pyramid()
-
-    def entry(entry_id, subject, img):
-        fmap = encode(img, params)
-        matrix = pyramid_pool(fmap, pyramid)
-        if cfg.normalize:
-            matrix = l2_normalize_columns(matrix)
-        return GalleryEntry(entry_id, subject, global_average_pool(fmap), matrix)
-
     gallery_entries = [
-        entry(f"g{label}_{i}", str(label), img)
+        _pooled_entry(f"g{label}_{i}", str(label), encode(img, params), cfg)
         for label, imgs in sorted(gallery_pool.items())
         for i, img in enumerate(imgs)
     ]
@@ -264,7 +258,7 @@ def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
     rankings, truth = [], {}
     for label, imgs in sorted(probe_pool.items()):
         for i, img in enumerate(imgs):
-            e = entry(f"p{label}_{i}", str(label), img)
+            e = _pooled_entry(f"p{label}_{i}", str(label), encode(img, params), cfg)
             truth[e.entry_id] = str(label)
             rankings.append(match_probe((e.global_feature, e.spatial), gallery, e.entry_id))
     return evaluate(rankings, truth, gallery).rank_k(1)

@@ -32,7 +32,7 @@ from .features import (
     pool_columns,
     usable_kernels,
 )
-from .reconstruction import DictionaryFactor, ReconstructionCoefficients
+from .reconstruction import DictionaryFactor, ReconstructionCoefficients, ReconstructionScorer
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,42 @@ class LossReport:
     per_triplet_terms: tuple[float, ...]
 
 
+def global_distances(anchor: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Euclidean distance from one global vector to each row of a stack.
+
+    Every global distance in matching and mining is this one expression, so a
+    pair's distance has the same bits on every path that computes it."""
+    return np.linalg.norm(others - anchor, axis=1)
+
+
 def euclidean_distance(a: GlobalFeature, b: GlobalFeature) -> float:
     if a.dim != b.dim:
         raise MismatchError(f"global feature dims differ: {a.dim} vs {b.dim}")
-    return float(np.linalg.norm(a.values - b.values))
+    return float(global_distances(a.values, b.values[None, :])[0])
 
 
 def combined_distance(a: BatchSample, b: BatchSample, beta: float) -> float:
     """Global Euclidean distance plus reconstruction distance, with a's
     spatial features reconstructed from b's dictionary (the asymmetric
     anchor-to-other direction)."""
-    return (
-        euclidean_distance(a.global_feature, b.global_feature)
-        + DictionaryFactor(b.spatial, beta).reconstruct(a.spatial).distance
-    )
+    r = ReconstructionScorer([b.spatial], beta).distances(a.spatial)[0]
+    return euclidean_distance(a.global_feature, b.global_feature) + float(r)
 
 
 def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> np.ndarray:
-    # d[i, j] = combined distance of anchor i against dictionary j; the
-    # per-dictionary Cholesky factor is shared across anchors, which is
-    # arithmetic-identical to combined_distance pair by pair.
-    n = len(samples)
-    d = np.zeros((n, n))
-    for j in range(n):
-        factor = DictionaryFactor(samples[j].spatial, beta)
-        for i in range(n):
-            if i == j:
-                continue
-            d[i, j] = (
-                euclidean_distance(samples[i].global_feature, samples[j].global_feature)
-                + factor.reconstruct(samples[i].spatial).distance
-            )
+    # d[i, j] = combined distance of anchor i against dictionary j. It equals
+    # combined_distance pair by pair, bit for bit: the global term is the
+    # same expression, and the scorer's distance for a pair does not depend
+    # on the other dictionaries scored with it.
+    dim = samples[0].global_feature.dim
+    if any(s.global_feature.dim != dim for s in samples):
+        raise MismatchError(f"global feature dims differ within the batch (first is {dim})")
+    globals_ = np.stack([s.global_feature.values for s in samples])
+    scorer = ReconstructionScorer([s.spatial for s in samples], beta)
+    d = np.stack(
+        [global_distances(s.global_feature.values, globals_) + scorer.distances(s.spatial) for s in samples]
+    )
+    np.fill_diagonal(d, 0.0)
     return d
 
 

@@ -3,17 +3,20 @@
 The coefficients W minimize ||X - Y W||_F^2 + beta ||W||_F^2 and come in
 closed form from the normal equations (Y^T Y + beta I) W = Y^T X, factored
 with a Cholesky decomposition of the regularized Gram matrix. The
-reconstruction distance is the mean l2 norm of the residual columns of
-X - Y W; during training the gradients of the squared Frobenius residual are
-used instead, with W held fixed by the alternating scheme.
+reconstruction distance is the mean l2 norm of the residual
+columns of X - Y W; ReconstructionScorer computes it for one probe against
+many dictionaries at once. During training the gradients of the squared
+Frobenius residual are used instead, with W held fixed by the alternating
+scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .errors import FactorizationError, MismatchError
 from .features import FeatureMatrix
@@ -47,6 +50,30 @@ class ReconstructionResult:
     distance: float
 
 
+def _cholesky(gram: np.ndarray, beta: float):
+    """Lower Cholesky factor of a regularized Gram matrix; a matrix that is
+    not positive definite raises FactorizationError with a condition
+    diagnostic."""
+    try:
+        factor = cho_factor(gram, lower=True)
+    except LinAlgError as exc:
+        cond = float(np.linalg.cond(gram))
+        raise FactorizationError(
+            f"gram matrix not positive definite (beta={beta}, cond~{cond:.3e}); "
+            "use beta > 0 or a full-column-rank dictionary"
+        ) from exc
+    if beta == 0.0:
+        # potrf can sneak past an exactly singular matrix with a rounded
+        # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams.
+        diag = np.abs(np.diag(factor[0]))
+        if diag.min() <= diag.max() * 1e-7:
+            cond = float(np.linalg.cond(gram))
+            raise FactorizationError(
+                f"gram matrix numerically singular at beta=0 (cond~{cond:.3e})"
+            )
+    return factor
+
+
 class DictionaryFactor:
     """Cholesky factor of (Y^T Y + beta I), reusable across many probes
     reconstructed against the same dictionary Y."""
@@ -57,24 +84,7 @@ class DictionaryFactor:
         if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         y = dictionary.columns
-        gram = y.T @ y + beta * np.eye(dictionary.count)
-        try:
-            self._factor = cho_factor(gram, lower=True)
-        except LinAlgError as exc:
-            cond = float(np.linalg.cond(gram))
-            raise FactorizationError(
-                f"gram matrix not positive definite (beta={beta}, cond~{cond:.3e}); "
-                "use beta > 0 or a full-column-rank dictionary"
-            ) from exc
-        if beta == 0.0:
-            # potrf can sneak past an exactly singular matrix with a rounded
-            # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams.
-            diag = np.abs(np.diag(self._factor[0]))
-            if diag.min() <= diag.max() * 1e-7:
-                cond = float(np.linalg.cond(gram))
-                raise FactorizationError(
-                    f"gram matrix numerically singular at beta=0 (cond~{cond:.3e})"
-                )
+        self._factor = _cholesky(y.T @ y + beta * np.eye(dictionary.count), beta)
         self.dictionary = dictionary
         self.beta = float(beta)
 
@@ -89,6 +99,87 @@ class DictionaryFactor:
         residual = x.columns - self.dictionary.columns @ coeff.matrix
         distance = float(np.linalg.norm(residual, axis=0).mean())
         return ReconstructionResult(coeff, residual, distance)
+
+    def whitened_dictionary(self) -> np.ndarray:
+        """B = Y L^{-T} (d x M) for Y^T Y + beta I = L L^T, so that the
+        reconstruction Y W = Y (L L^T)^{-1} Y^T X is B B^T X."""
+        return solve_triangular(self._factor[0], self.dictionary.columns.T, lower=True).T
+
+
+def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarray:
+    """A = beta (Y Y^T + beta I)^{-1} (d x d) for beta > 0: the residual of X
+    against Y is A X. A is symmetrized once, so X^T A is the residual's
+    transpose up to the rounding of the product."""
+    y = dictionary.columns
+    identity = np.eye(dictionary.dim)
+    a = beta * cho_solve(_cholesky(y @ y.T + beta * identity, beta), identity)
+    return 0.5 * (a + a.T)
+
+
+class ReconstructionScorer:
+    """Reconstruction distances of one probe against a fixed list of
+    dictionaries, returned as one vector in list order.
+
+    Dictionaries are grouped by column count M, and each group stacks one
+    operator per dictionary and is scored with batched matrix products:
+    - dual (beta > 0, d < M): the residual is A X with A = beta K^{-1},
+      K = Y Y^T + beta I, because
+      I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
+      X - Y W cancellation, and the d x d operator is smaller than Y;
+    - otherwise: the residual is X - Y W with Y W = B B^T X, B the
+      DictionaryFactor's whitened dictionary (which also rejects a singular
+      Gram matrix at beta = 0).
+    A dictionary's slice goes through the same products whatever else is
+    stacked with it, so a pair's distance does not depend, bit for bit, on
+    the other dictionaries in the scorer.
+    """
+
+    def __init__(self, dictionaries: Sequence[FeatureMatrix], beta: float):
+        dictionaries = tuple(dictionaries)
+        if not dictionaries:
+            raise ValueError("scorer needs at least one dictionary")
+        dim = dictionaries[0].dim
+        by_count: dict[int, list[int]] = {}
+        for i, y in enumerate(dictionaries):
+            if y.dim != dim:
+                raise MismatchError(f"dictionary {i}: feature dim {y.dim} != {dim}")
+            by_count.setdefault(y.count, []).append(i)
+        self.dim = dim
+        self.size = len(dictionaries)
+        # (positions, dual, stacked operators); the residual is formed
+        # transposed, one row per probe column, so that each column norm
+        # reduces a contiguous row.
+        self._groups = []
+        for count, positions in by_count.items():
+            dual = beta > 0 and dim < count
+            shape = (dim, dim) if dual else (dim, count)
+            operators = np.empty((len(positions),) + shape)
+            for k, i in enumerate(positions):
+                if dual:
+                    operators[k] = _dual_residual_operator(dictionaries[i], beta)
+                else:
+                    operators[k] = DictionaryFactor(dictionaries[i], beta).whitened_dictionary()
+            self._groups.append((np.asarray(positions), dual, operators))
+
+    def distances(self, x: FeatureMatrix) -> np.ndarray:
+        """Mean residual column norm of x against each dictionary."""
+        if x.dim != self.dim:
+            raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dim}")
+        xt = x.columns.T
+        out = np.empty(self.size)
+        for positions, dual, operators in self._groups:
+            # One residual-sized buffer, updated in place: a second one of
+            # that size per call made scoring several times slower.
+            if dual:
+                residual_t = xt @ operators
+            else:
+                residual_t = (xt @ operators) @ operators.transpose(0, 2, 1)
+                np.subtract(xt, residual_t, out=residual_t)
+            np.square(residual_t, out=residual_t)
+            out[positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
+        if not np.isfinite(out).all():
+            raise ValueError("reconstruction distances contain non-finite values")
+        return out
 
 
 def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> ReconstructionCoefficients:

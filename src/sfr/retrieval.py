@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import FormatError, MismatchError
 from .features import FeatureMatrix, GlobalFeature
-from .metric import euclidean_distance
-from .reconstruction import DictionaryFactor
+from .metric import global_distances
+from .reconstruction import ReconstructionScorer
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ class EvalReport:
 
 
 class GalleryIndex:
-    """Immutable gallery with per-entry dictionary factors precomputed, so
-    concurrent probes share the Cholesky work."""
+    """Immutable gallery with the entries' global features stacked and one
+    reconstruction scorer built over their dictionaries, so concurrent
+    probes share the factorization work."""
 
     def __init__(self, entries: tuple[GalleryEntry, ...], alpha: float, beta: float):
         if not entries:
@@ -72,7 +73,8 @@ class GalleryIndex:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.dim = dim
-        self._factors = tuple(DictionaryFactor(e.spatial, beta) for e in entries)
+        self._globals = np.stack([e.global_feature.values for e in entries])
+        self._scorer = ReconstructionScorer([e.spatial for e in entries], beta)
 
 
 def build_gallery(entries, alpha: float, beta: float) -> GalleryIndex:
@@ -102,20 +104,32 @@ def match_probe(
         raise MismatchError(
             f"probe dims ({probe_global.dim}, {probe_spatial.dim}) != gallery dim {gallery.dim}"
         )
-    alpha = gallery.alpha
-    scored = []
-    for entry, factor in zip(gallery.entries, gallery._factors):
-        d = euclidean_distance(probe_global, entry.global_feature)
-        r = factor.reconstruct(probe_spatial).distance
-        scored.append(ScoredEntry(entry.entry_id, d, r, alpha * d + (1.0 - alpha) * r))
-    order = np.argsort([s.fused for s in scored], kind="stable")
-    return RetrievalRanking(probe_id, tuple(scored[i] for i in order))
+    d = global_distances(probe_global.values, gallery._globals)
+    r = gallery._scorer.distances(probe_spatial)
+    fused = gallery.alpha * d + (1.0 - gallery.alpha) * r
+    order = np.argsort(fused, kind="stable")
+    scored = tuple(
+        ScoredEntry(gallery.entries[i].entry_id, *values)
+        for i, *values in zip(order.tolist(), d[order].tolist(), r[order].tolist(), fused[order].tolist())
+    )
+    return RetrievalRanking(probe_id, scored)
+
+
+def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str]) -> None:
+    # Every gallery entry exactly once: a ranking that lists one entry twice
+    # in place of another would otherwise score as a complete one.
+    ids = [s.entry_id for s in ranking.scored]
+    listed = set(ids)
+    if len(ids) != len(subject_of) or listed != subject_of.keys():
+        raise MismatchError(
+            f"probe {ranking.probe_id}: ranking lists {len(ids)} entries, {len(listed)} distinct, "
+            f"for {len(subject_of)} gallery entries (unknown: {sorted(listed - subject_of.keys())}, "
+            f"missing: {sorted(subject_of.keys() - listed)})"
+        )
 
 
 def _best_match_rank(ranking: RetrievalRanking, subject: str, subject_of: dict[str, str]) -> int:
     for pos, s in enumerate(ranking.scored, start=1):
-        if s.entry_id not in subject_of:
-            raise MismatchError(f"probe {ranking.probe_id}: unknown gallery entry {s.entry_id!r}")
         if subject_of[s.entry_id] == subject:
             return pos
     raise MismatchError(f"probe {ranking.probe_id}: no gallery entry for subject {subject}")
@@ -139,11 +153,7 @@ def evaluate(rankings, truth: dict[str, str], gallery) -> EvalReport:
     for ranking in rankings:
         if ranking.probe_id not in truth:
             raise MismatchError(f"unknown probe id {ranking.probe_id!r}")
-        if len(ranking.scored) != len(subject_of):
-            raise MismatchError(
-                f"probe {ranking.probe_id}: {len(ranking.scored)} scored entries "
-                f"vs {len(subject_of)} gallery entries"
-            )
+        _check_ranked_entries(ranking, subject_of)
         subject = truth[ranking.probe_id]
         hits[_best_match_rank(ranking, subject, subject_of) - 1] += 1
         match_positions = [

@@ -177,6 +177,15 @@ class TestEval:
         assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["mAP"] == 1.0
 
+    def test_entry_listed_twice_exit_3(self, tmp_path):
+        rankings, probes, gal = self.fixture_rankings(tmp_path)
+        rows = rankings.read_text().splitlines()
+        rows[2] = rows[2].replace(",g1,", ",g0,")  # p0 lists g0 at ranks 1 and 2, omits g1
+        rankings.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 3
+        assert not (out / "summary.json").exists()
+
     def test_unknown_probe_exit_3(self, tmp_path):
         rankings, probes, gal = self.fixture_rankings(tmp_path)
         truth = tmp_path / "short.jsonl"

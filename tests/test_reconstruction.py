@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from sfr.errors import FactorizationError, MismatchError
-from sfr.features import FeatureMatrix
-from sfr.oracle import finite_difference, relative_error
+from sfr.features import FeatureMatrix, l2_normalize_columns
+from sfr.oracle import finite_difference, relative_error, ridge_oracle
 from sfr.reconstruction import (
+    DictionaryFactor,
     ReconstructionCoefficients,
+    ReconstructionScorer,
     reconstruction_objective,
     sfr_distance,
     sfr_gradients,
@@ -194,3 +196,96 @@ class TestObjective:
                 delta = rng.standard_normal(w.shape)
                 delta *= rng.uniform(0, 1e-2) / max(np.linalg.norm(delta), 1e-12)
                 assert base <= reconstruction_objective(x, y, w + delta, 0.05) + 1e-12
+
+
+def unit_columns(rng, d, n, zero=()):
+    """Nonnegative columns normalized as the pipeline does; the columns listed
+    in zero stay zero, as normalization leaves an all-zero column."""
+    cols = np.abs(rng.standard_normal((d, n)))
+    cols[:, list(zero)] = 0.0
+    return l2_normalize_columns(fm(cols))
+
+
+# (feature dim d, dictionary column counts M, probe columns N, zero columns)
+SCORER_CASES = [
+    pytest.param(8, (20,), 5, (), id="d<M"),
+    pytest.param(12, (12,), 7, (), id="d=M"),
+    pytest.param(30, (6,), 4, (), id="d>M"),
+    pytest.param(10, (3, 25, 10, 25, 3, 40, 9), 6, (), id="mixed-M"),
+    pytest.param(9, (4, 16, 4), 5, (1,), id="zero-columns"),
+]
+
+
+def scorer_case(d, counts, n, zero, seed=0):
+    rng = np.random.default_rng(seed)
+    ys = [unit_columns(rng, d, m, zero=zero if m > max(zero, default=-1) else ()) for m in counts]
+    return unit_columns(rng, d, n, zero=zero), ys
+
+
+class TestReconstructionScorer:
+    @pytest.mark.parametrize("beta", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("d, counts, n, zero", SCORER_CASES)
+    def test_matches_per_pair_reconstruct(self, d, counts, n, zero, beta):
+        x, ys = scorer_case(d, counts, n, zero)
+        got = ReconstructionScorer(ys, beta).distances(x)
+        assert got.shape == (len(ys),)
+        for y, r in zip(ys, got):
+            assert abs(r - DictionaryFactor(y, beta).reconstruct(x).distance) <= 1e-12
+            w = ridge_oracle(x, y, beta)
+            assert abs(r - np.linalg.norm(x.columns - y.columns @ w, axis=0).mean()) <= 1e-8
+
+    @pytest.mark.parametrize("d, counts, n, zero", SCORER_CASES)
+    def test_pair_alone_is_bit_identical_to_pair_among_others(self, d, counts, n, zero):
+        x, ys = scorer_case(d, counts, n, zero)
+        together = ReconstructionScorer(ys, 1e-3).distances(x)
+        for y, r in zip(ys, together):
+            assert ReconstructionScorer([y], 1e-3).distances(x)[0] == r
+
+    def test_pair_independence_over_random_shapes(self):
+        rng = np.random.default_rng(11)
+        mismatches = 0
+        for _ in range(40):
+            d = int(rng.integers(1, 70))
+            ys = [unit_columns(rng, d, int(m)) for m in rng.integers(1, 30, size=int(rng.integers(2, 8)))]
+            x = unit_columns(rng, d, int(rng.integers(1, 30)))
+            together = ReconstructionScorer(ys, 1e-3).distances(x)
+            mismatches += sum(ReconstructionScorer([y], 1e-3).distances(x)[0] != r for y, r in zip(ys, together))
+        assert mismatches == 0
+
+    @pytest.mark.parametrize("d, m, beta, dual", [
+        (4, 9, 1e-3, True),
+        (9, 9, 1e-3, False),
+        (9, 9, 0.0, False),
+        (9, 4, 1e-3, False),
+    ])
+    def test_dual_form_only_for_positive_beta_and_d_below_m(self, d, m, beta, dual):
+        rng = np.random.default_rng(12)
+        y = fm(rng.standard_normal((d, m)) + 3 * np.eye(d, m))
+        (_, group_dual, operators), = ReconstructionScorer([y], beta)._groups
+        assert group_dual is dual
+        assert operators.shape == ((1, d, d) if dual else (1, d, m))
+
+    def test_wide_dictionary_at_beta_zero_stays_singular(self):
+        # d < M makes Y^T Y singular; beta = 0 never takes the dual form
+        rng = np.random.default_rng(12)
+        with pytest.raises(FactorizationError):
+            ReconstructionScorer([fm(rng.standard_normal((4, 9)))], 0.0)
+
+    @pytest.mark.parametrize("d, m", [(4, 9), (9, 4)])
+    def test_non_finite_distance_raises_value_error(self, d, m):
+        rng = np.random.default_rng(13)
+        scorer = ReconstructionScorer([fm(rng.standard_normal((d, m)))], 1e-3)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            scorer.distances(fm(np.full((d, 2), 1e200)))
+
+    def test_singular_gram_at_beta_zero(self):
+        with pytest.raises(FactorizationError):
+            ReconstructionScorer([fm([[1.0, 1.0], [1.0, 1.0]])], 0.0)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(MismatchError):
+            ReconstructionScorer([fm(rng.standard_normal((3, 2))), fm(rng.standard_normal((4, 2)))], 0.1)
+        scorer = ReconstructionScorer([fm(rng.standard_normal((3, 2)))], 0.1)
+        with pytest.raises(MismatchError):
+            scorer.distances(fm(rng.standard_normal((4, 2))))

@@ -212,6 +212,17 @@ class TestEvaluation:
         with pytest.raises(MismatchError, match="unknown probe"):
             cmc_curve([fake_ranking("p", ["g1"])], {"other": "a"}, subject_of)
 
+    @pytest.mark.parametrize("order, message", [
+        (["g1", "g1"], "2 entries, 1 distinct"),
+        (["g1", "g3"], r"unknown: \['g3'\]"),
+        (["g1"], r"missing: \['g2'\]"),
+    ])
+    def test_ranking_must_list_each_gallery_entry_once(self, order, message):
+        # a ranking listing g1 twice and omitting g2 used to score mAP 1.0
+        subject_of = {"g1": "a", "g2": "b"}
+        with pytest.raises(MismatchError, match=message):
+            evaluate([fake_ranking("p", order)], {"p": "a"}, subject_of)
+
     def test_map_bounds(self):
         rng = np.random.default_rng(49)
         n = 8
