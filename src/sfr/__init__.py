@@ -13,6 +13,7 @@ from .encoder import (
     ToyImage,
     encode,
     encode_backward,
+    encode_forward,
     init_params,
     load_params,
     save_params,
@@ -58,10 +59,8 @@ from .retrieval import (
     GalleryIndex,
     RetrievalRanking,
     build_gallery,
-    cmc_curve,
     evaluate,
     match_probe,
-    mean_average_precision,
     merge_entries_by_subject,
 )
 
@@ -92,10 +91,10 @@ __all__ = [
     "TripletBatch",
     "batch_hard_mine",
     "build_gallery",
-    "cmc_curve",
     "combined_distance",
     "encode",
     "encode_backward",
+    "encode_forward",
     "euclidean_distance",
     "evaluate",
     "exhaustive_mine",
@@ -107,7 +106,6 @@ __all__ = [
     "load_params",
     "load_pooled",
     "match_probe",
-    "mean_average_precision",
     "merge_entries_by_subject",
     "pyramid_pool",
     "reconstruction_objective",

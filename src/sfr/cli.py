@@ -295,9 +295,7 @@ def cmd_train_demo(args, cfg: RunConfig) -> int:
         rng = np.random.default_rng((cfg.seed, epoch))
         picks = sample_batch(train_pool, p_eff, cfg.k, rng)
         batch = build_batch(picks, params, pyramid=pyramid, normalize=cfg.normalize, margin=cfg.margin)
-        params, report = training_step(
-            batch, params, cfg.beta, cfg.margin, lr, pyramid=pyramid, normalize=cfg.normalize
-        )
+        params, report = training_step(batch, cfg.beta, cfg.margin, lr)
         rows.append((epoch, monitor_loss.total_loss, report.total_loss, report.active_triplets, lr))
 
     with open(out / "loss.csv", "w", encoding="utf-8", newline="") as fh:

@@ -2,8 +2,10 @@
 
 Convolutions use valid padding, so arbitrary-size inputs produce
 correspondingly-sized feature grids instead of being forced to a fixed shape.
-The float64 forward (encode_raw) is what training and gradient checks use;
-encode() wraps the result into a binary32 SpatialFeatureMap.
+The float64 forward (encode_forward, or encode_raw for its output alone) is
+what training and gradient checks use; encode() wraps the output into a
+binary32 SpatialFeatureMap. Training keeps each sample's ForwardPass so that
+encode_backward needs no second forward.
 """
 
 from __future__ import annotations
@@ -174,21 +176,33 @@ def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, int, int]) 
     return out
 
 
-def _forward(values: np.ndarray, layers: tuple[ConvLayer, ...]):
-    x = values
-    cache = []
-    for layer in layers:
+@dataclass(frozen=True)
+class ForwardPass:
+    """One forward pass: its output grid, and per layer the conv input and
+    the ReLU mask (pre-activation > 0, shaped like the rectified grid) that
+    encode_backward reads in place of a second forward."""
+
+    output: np.ndarray
+    inputs: tuple[np.ndarray, ...]
+    relu_masks: tuple[np.ndarray, ...]
+
+
+def encode_forward(img: ToyImage, params: EncoderParams) -> ForwardPass:
+    """Float64 forward pass that keeps its layer cache for encode_backward."""
+    x = img.values
+    inputs, masks = [], []
+    for layer in params.layers:
         pre = conv2d_valid(x, layer.kernel, layer.bias)
+        inputs.append(x)
+        masks.append(pre > 0.0)
         post = np.maximum(pre, 0.0)
-        cache.append((x, pre, post.shape))
         x = _downsample(post) if layer.downsample else post
-    return x, cache
+    return ForwardPass(x, tuple(inputs), tuple(masks))
 
 
 def encode_raw(img: ToyImage, params: EncoderParams) -> np.ndarray:
-    """Float64 forward pass; the training path and gradient checks run on this."""
-    out, _ = _forward(img.values, params.layers)
-    return out
+    """Float64 forward pass; evaluation and gradient checks run on this."""
+    return encode_forward(img, params).output
 
 
 def encode(img: ToyImage, params: EncoderParams) -> SpatialFeatureMap:
@@ -198,22 +212,26 @@ def encode(img: ToyImage, params: EncoderParams) -> SpatialFeatureMap:
 
 
 def encode_backward(
-    img: ToyImage, params: EncoderParams, upstream_grad: np.ndarray
+    forward: ForwardPass, params: EncoderParams, upstream_grad: np.ndarray
 ) -> list[LayerGradients]:
     """Exact reverse-mode parameter gradients for a given gradient w.r.t. the
-    encoder output grid. Rectification uses subgradient 0 at exactly 0."""
-    out, cache = _forward(img.values, params.layers)
+    output grid of a forward pass made with params. Rectification uses
+    subgradient 0 at exactly 0."""
+    if len(forward.relu_masks) != len(params.layers):
+        raise MismatchError(
+            f"forward pass has {len(forward.relu_masks)} layers, params have {len(params.layers)}"
+        )
     g = np.asarray(upstream_grad, dtype=np.float64)
-    if g.shape != out.shape:
-        raise MismatchError(f"upstream gradient shape {g.shape} != output shape {out.shape}")
+    if g.shape != forward.output.shape:
+        raise MismatchError(f"upstream gradient shape {g.shape} != output shape {forward.output.shape}")
     grads: list[LayerGradients | None] = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
-        x_in, pre, post_shape = cache[i]
+        mask = forward.relu_masks[i]
         if layer.downsample:
-            g = _downsample_backward(g, post_shape)
-        g = g * (pre > 0.0)
-        g, grad_kernel, grad_bias = _conv2d_valid_backward(x_in, layer.kernel, g)
+            g = _downsample_backward(g, mask.shape)
+        g = g * mask
+        g, grad_kernel, grad_bias = _conv2d_valid_backward(forward.inputs[i], layer.kernel, g)
         grads[i] = LayerGradients(grad_kernel, grad_bias)
     return grads  # type: ignore[return-value]
 

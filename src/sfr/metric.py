@@ -10,7 +10,8 @@ normalization is on) the column scales, all of which stay fixed through the
 update; phase two backpropagates the squared-Frobenius-residual gradients in
 the solve's coordinates, chained through the frozen scales, plus the global
 Euclidean gradients, through the pooling layers into the encoder, and applies
-one SGD update.
+one SGD update. Each sample is encoded once per step: build_batch keeps its
+forward pass and column scales, and the step reads everything from the batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, LayerGradients, ToyImage, encode_backward, encode_raw, sgd_update
+from .encoder import (
+    EncoderParams,
+    ForwardPass,
+    LayerGradients,
+    ToyImage,
+    encode_backward,
+    encode_forward,
+    encode_raw,
+    sgd_update,
+)
 from .errors import MismatchError
 from .features import (
     DEFAULT_PYRAMID,
@@ -38,22 +48,30 @@ from .reconstruction import DictionaryFactor, ReconstructionCoefficients, Recons
 @dataclass(frozen=True)
 class BatchSample:
     """One batch element: identity label, pooled features, and (for training)
-    the raw image the features were encoded from."""
+    the image the features were encoded from, the encoder's forward pass, and
+    the per-column scales the raw pyramid columns were divided by to give
+    `spatial` (all ones when normalization is off)."""
 
     label: Hashable
     global_feature: GlobalFeature
     spatial: FeatureMatrix
     image: ToyImage | None = None
+    forward: ForwardPass | None = None
+    column_scales: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class TripletBatch:
-    """P identities x K images; every identity appears exactly K times."""
+    """P identities x K images; every identity appears exactly K times. A
+    batch encoded from images carries the encoder parameters and pyramid it
+    was encoded with."""
 
     subjects: int
     images_per_subject: int
     samples: tuple[BatchSample, ...]
     margin: float = 0.3
+    params: EncoderParams | None = None
+    pyramid: PyramidSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -175,13 +193,8 @@ def sample_batch(
     return out
 
 
-def _forward_sample(image: ToyImage, params: EncoderParams, pyramid: PyramidSpec, normalize: bool):
-    grid = encode_raw(image, params)
-    g = grid.mean(axis=(1, 2))
-    x_raw = pool_columns(grid, pyramid)
-    m_raw = FeatureMatrix(x_raw)
-    m_used = l2_normalize_columns(m_raw) if normalize else m_raw
-    return grid.shape, g, x_raw, m_used
+def _pool_grid(grid: np.ndarray, pyramid: PyramidSpec) -> tuple[np.ndarray, np.ndarray]:
+    return grid.mean(axis=(1, 2)), pool_columns(grid, pyramid)
 
 
 def encode_batch_sample(
@@ -192,8 +205,16 @@ def encode_batch_sample(
     pyramid: PyramidSpec = DEFAULT_PYRAMID,
     normalize: bool = True,
 ) -> BatchSample:
-    _, g, _, m_used = _forward_sample(image, params, pyramid, normalize)
-    return BatchSample(label, GlobalFeature(g), m_used, image)
+    forward = encode_forward(image, params)
+    g, x_raw = _pool_grid(forward.output, pyramid)
+    spatial = FeatureMatrix(x_raw)
+    scales = np.ones(x_raw.shape[1])
+    if normalize:
+        spatial = l2_normalize_columns(spatial)
+        # The scales l2_normalize_columns divided by; zero columns keep 1.
+        norms = np.linalg.norm(x_raw, axis=0)
+        scales = np.where(norms == 0.0, 1.0, norms)
+    return BatchSample(label, GlobalFeature(g), spatial, image, forward, scales)
 
 
 def build_batch(
@@ -213,7 +234,7 @@ def build_batch(
         encode_batch_sample(label, img, params, pyramid=pyramid, normalize=normalize)
         for label, img in labeled_images
     )
-    return TripletBatch(len(counts), k_values.pop(), samples, margin)
+    return TripletBatch(len(counts), k_values.pop(), samples, margin, params, pyramid)
 
 
 @dataclass(frozen=True)
@@ -256,50 +277,28 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def step_gradients(
-    batch: TripletBatch,
-    params: EncoderParams,
-    beta: float,
-    margin: float,
-    *,
-    pyramid: PyramidSpec = DEFAULT_PYRAMID,
-    normalize: bool = True,
+    batch: TripletBatch, beta: float, margin: float
 ) -> tuple[list[LayerGradients], StepPlan]:
     """Phase one plus the full analytic parameter gradient of the frozen-plan
-    objective (see frozen_step_objective)."""
-    if any(s.image is None for s in batch.samples):
-        raise ValueError("training requires batch samples built from images")
-    forwards = [_forward_sample(s.image, params, pyramid, normalize) for s in batch.samples]
-    frozen = TripletBatch(
-        batch.subjects,
-        batch.images_per_subject,
-        tuple(
-            BatchSample(s.label, GlobalFeature(f[1]), f[3], s.image)
-            for s, f in zip(batch.samples, forwards)
-        ),
-        batch.margin,
-    )
-    mined = batch_hard_mine(frozen, beta)
+    objective (see frozen_step_objective), from the batch's stored forward
+    passes: no sample is encoded again."""
+    samples = batch.samples
+    if batch.params is None or any(s.forward is None for s in samples):
+        raise ValueError("training requires a batch that build_batch encoded from images")
+    mined = batch_hard_mine(batch, beta)
     report = _loss_terms(mined, margin)
     active = tuple(t > 0.0 for t in report.per_triplet_terms)
 
-    used = [f[3] for f in forwards]
-    coeff_pos = tuple(
-        DictionaryFactor(used[t.positive_idx], beta).solve(used[t.anchor_idx]) for t in mined
-    )
-    coeff_neg = tuple(
-        DictionaryFactor(used[t.negative_idx], beta).solve(used[t.anchor_idx]) for t in mined
-    )
-    # Frozen per-column scales: raw features divided by these reproduce the
-    # solve's coordinates. Zero columns keep scale 1.
-    if normalize:
-        scales = tuple(np.where(n == 0.0, 1.0, n) for n in
-                       (np.linalg.norm(f[2], axis=0) for f in forwards))
-    else:
-        scales = tuple(np.ones(f[2].shape[1]) for f in forwards)
+    factors = [DictionaryFactor(s.spatial, beta) for s in samples]
+    coeff_pos = tuple(factors[t.positive_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
+    coeff_neg = tuple(factors[t.negative_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
+    scales = tuple(s.column_scales for s in samples)
     plan = StepPlan(tuple(mined), active, coeff_pos, coeff_neg, scales, report)
 
-    globals_ = [f[1] for f in forwards]
-    units = [f[2] / s for f, s in zip(forwards, scales)]
+    globals_ = [s.global_feature.values for s in samples]
+    # The solve's coordinates: the raw pyramid columns divided by the frozen
+    # scales, which is the stored spatial matrix bit for bit.
+    units = [s.spatial.columns for s in samples]
     dg = [np.zeros_like(g) for g in globals_]
     dx = [np.zeros_like(u) for u in units]
     for t, is_active, wp, wn in zip(mined, active, coeff_pos, coeff_neg):
@@ -319,13 +318,14 @@ def step_gradients(
     # Chain through the frozen scaling back onto the raw pyramid columns.
     dx = [g / s for g, s in zip(dx, scales)]
 
+    params = batch.params
     kernel_acc = [np.zeros_like(l.kernel) for l in params.layers]
     bias_acc = [np.zeros_like(l.bias) for l in params.layers]
-    for s, f, dgs, dxs in zip(batch.samples, forwards, dg, dx):
+    for s, dgs, dxs in zip(samples, dg, dx):
         if not (dgs.any() or dxs.any()):
             continue
-        grid_grad = _pool_backward(f[0], dgs, dxs, pyramid)
-        for ka, ba, lg in zip(kernel_acc, bias_acc, encode_backward(s.image, params, grid_grad)):
+        grid_grad = _pool_backward(s.forward.output.shape, dgs, dxs, batch.pyramid)
+        for ka, ba, lg in zip(kernel_acc, bias_acc, encode_backward(s.forward, params, grid_grad)):
             ka += lg.kernel
             ba += lg.bias
     grads = [LayerGradients(k, b) for k, b in zip(kernel_acc, bias_acc)]
@@ -333,20 +333,17 @@ def step_gradients(
 
 
 def frozen_step_objective(
-    batch: TripletBatch,
-    params: EncoderParams,
-    plan: StepPlan,
-    margin: float,
-    *,
-    pyramid: PyramidSpec = DEFAULT_PYRAMID,
+    batch: TripletBatch, params: EncoderParams, plan: StepPlan, margin: float
 ) -> float:
     """The phase-two objective as a function of encoder parameters: over the
     plan's active anchors, margin + global Euclidean gap + squared-Frobenius
     reconstruction gap, with the plan's coefficients and column scales frozen.
-    step_gradients returns the exact gradient of this scalar."""
-    forwards = [_forward_sample(s.image, params, pyramid, normalize=False) for s in batch.samples]
-    globals_ = [f[1] for f in forwards]
-    units = [f[2] / s for f, s in zip(forwards, plan.column_scales)]
+    step_gradients returns the exact gradient of this scalar. It encodes every
+    sample's image afresh with params, never reading the batch's stored
+    forward passes, so that it stays an independent reference."""
+    pooled = [_pool_grid(encode_raw(s.image, params), batch.pyramid) for s in batch.samples]
+    globals_ = [g for g, _ in pooled]
+    units = [x / s for (_, x), s in zip(pooled, plan.column_scales)]
     total = 0.0
     for t, is_active, wp, wn in zip(plan.triplets, plan.active, plan.coeff_pos, plan.coeff_neg):
         if not is_active:
@@ -361,19 +358,14 @@ def frozen_step_objective(
 
 
 def training_step(
-    batch: TripletBatch,
-    params: EncoderParams,
-    beta: float,
-    margin: float,
-    learning_rate: float,
-    *,
-    pyramid: PyramidSpec = DEFAULT_PYRAMID,
-    normalize: bool = True,
+    batch: TripletBatch, beta: float, margin: float, learning_rate: float
 ) -> tuple[EncoderParams, LossReport]:
-    """One alternating-optimization step; returns updated parameters and the
-    batch's loss report. Parameters are returned unchanged when the learning
-    rate is zero or every hinge is clamped."""
-    grads, plan = step_gradients(batch, params, beta, margin, pyramid=pyramid, normalize=normalize)
+    """One alternating-optimization step on the parameters the batch was
+    encoded with; returns updated parameters and the batch's loss report.
+    Parameters are returned unchanged when the learning rate is zero or every
+    hinge is clamped."""
+    grads, plan = step_gradients(batch, beta, margin)
+    params = batch.params
     for g in grads:
         if not (np.isfinite(g.kernel).all() and np.isfinite(g.bias).all()):
             raise ArithmeticError(

@@ -166,15 +166,6 @@ def evaluate(rankings, truth: dict[str, str], gallery) -> EvalReport:
     return EvalReport(cmc, float(np.mean(aps)), tuple(aps))
 
 
-def cmc_curve(rankings, truth: dict[str, str], gallery: GalleryIndex) -> np.ndarray:
-    """cmc[k-1] = fraction of probes whose best same-subject entry has rank <= k."""
-    return evaluate(rankings, truth, gallery).cmc
-
-
-def mean_average_precision(rankings, truth: dict[str, str], gallery: GalleryIndex) -> float:
-    return evaluate(rankings, truth, gallery).map
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     entry_id: str

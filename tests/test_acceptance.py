@@ -121,7 +121,7 @@ def test_criterion_3_gradient_checks():
     assert params.parameter_count() <= 5000
     picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs[:2]]
     batch = build_batch(picks, params, margin=0.3)
-    grads, plan = step_gradients(batch, params, 0.001, 0.3)
+    grads, plan = step_gradients(batch, 0.001, 0.3)
     assert plan.report.active_triplets > 0
     worst_e2e = 0.0
     for li in range(len(params.layers)):

@@ -10,6 +10,7 @@ from sfr.encoder import (
     conv2d_valid,
     encode,
     encode_backward,
+    encode_forward,
     encode_raw,
     init_params,
     load_params,
@@ -123,7 +124,7 @@ class TestBackward:
         params = init_params(((3, 1, 3, True),), 4)
         img = random_image(rng, 1, 10, 9)
         out = encode_raw(img, params)
-        grads = encode_backward(img, params, np.zeros_like(out))
+        grads = encode_backward(encode_forward(img, params), params, np.zeros_like(out))
         for g in grads:
             np.testing.assert_array_equal(g.kernel, 0.0)
             np.testing.assert_array_equal(g.bias, 0.0)
@@ -137,7 +138,7 @@ class TestBackward:
         upstream = rng.standard_normal(encode_raw(img, params).shape)
 
         for li in range(len(params.layers)):
-            grads = encode_backward(img, params, upstream)
+            grads = encode_backward(encode_forward(img, params), params, upstream)
 
             def f_kernel(kernel, li=li):
                 layers = list(params.layers)
@@ -163,7 +164,7 @@ class TestBackward:
         params = EncoderParams((ConvLayer(kernel, bias, False),))
         img = random_image(rng, 1, 8, 8)
         upstream = rng.standard_normal(encode_raw(img, params).shape)
-        grads = encode_backward(img, params, upstream)
+        grads = encode_backward(encode_forward(img, params), params, upstream)
         np.testing.assert_array_equal(grads[0].kernel[1], 0.0)
         assert grads[0].bias[1] == 0.0
         assert np.abs(grads[0].kernel[0]).max() > 0
@@ -173,7 +174,7 @@ class TestBackward:
         params = init_params(((2, 1, 3, False),), 0)
         img = random_image(rng, 1, 8, 8)
         with pytest.raises(MismatchError):
-            encode_backward(img, params, np.zeros((2, 3, 3)))
+            encode_backward(encode_forward(img, params), params, np.zeros((2, 3, 3)))
 
 
 class TestCheckpoint:

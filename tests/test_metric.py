@@ -240,17 +240,17 @@ class TestSampling:
             sample_batch(pools, 3, 2, np.random.default_rng(0))
 
 
-def small_training_batch(seed=0, p=3, k=2):
+def small_training_batch(seed=0, p=3, k=2, normalize=True):
     pools = make_identity_pools(p, k + 1, seed=seed)
     params = init_params(((4, 1, 3, True), (6, 4, 3, False)), seed)
     picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs[:k]]
-    return build_batch(picks, params, margin=0.3), params
+    return build_batch(picks, params, normalize=normalize, margin=0.3), params
 
 
 class TestTrainingStep:
     def test_zero_learning_rate_keeps_parameters(self):
         batch, params = small_training_batch()
-        updated, report = training_step(batch, params, BETA, 0.3, 0.0)
+        updated, report = training_step(batch, BETA, 0.3, 0.0)
         assert report.total_loss > 0
         for a, b in zip(updated.layers, params.layers):
             np.testing.assert_array_equal(a.kernel, b.kernel)
@@ -263,7 +263,7 @@ class TestTrainingStep:
         params = init_params(((4, 1, 3, True),), 0)
         picks = [(label, imgs[0]) for label, imgs in sorted(pools.items()) for _ in range(2)]
         clamped = build_batch(picks, params, margin=0.0)
-        updated, report = training_step(clamped, params, BETA, 0.0, 0.5)
+        updated, report = training_step(clamped, BETA, 0.0, 0.5)
         assert report.active_triplets == 0
         assert report.total_loss == 0.0
         for a, b in zip(updated.layers, params.layers):
@@ -271,7 +271,7 @@ class TestTrainingStep:
 
     def test_post_update_loss_finite(self):
         batch, params = small_training_batch()
-        updated, _ = training_step(batch, params, BETA, 0.3, 1e-3)
+        updated, _ = training_step(batch, BETA, 0.3, 1e-3)
         picks = [(s.label, s.image) for s in batch.samples]
         after = sfr_triplet_loss(build_batch(picks, updated, margin=0.3), BETA, 0.3)
         assert np.isfinite(after.total_loss)
@@ -280,7 +280,7 @@ class TestTrainingStep:
         rng = np.random.default_rng(13)
         batch = random_batch(rng, 2, 2, 3)
         with pytest.raises(ValueError, match="images"):
-            training_step(batch, init_params(((2, 1, 3, False),), 0), BETA, 0.3, 0.1)
+            training_step(batch, BETA, 0.3, 0.1)
 
     def test_non_finite_gradient_aborts(self, monkeypatch):
         import sfr.metric as metric_mod
@@ -296,7 +296,7 @@ class TestTrainingStep:
 
         monkeypatch.setattr(metric_mod, "encode_backward", poisoned)
         with pytest.raises(ArithmeticError, match="non-finite"):
-            training_step(batch, params, BETA, 0.3, 0.1)
+            training_step(batch, BETA, 0.3, 0.1)
 
     def test_stored_features_match_recomputation(self):
         batch, params = small_training_batch(seed=5)
@@ -318,16 +318,45 @@ class TestTrainingStep:
             rng = np.random.default_rng((7, epoch))
             picks = sample_batch(pools, 2, 4, rng)
             batch = build_batch(picks, params, margin=0.3)
-            params, _ = training_step(batch, params, BETA, 0.3, 2e-4)
+            params, _ = training_step(batch, BETA, 0.3, 2e-4)
         windows = [np.mean(monitor[t:t + 10]) for t in range(0, 41, 10)]
         assert all(b < a for a, b in zip(windows, windows[1:]))
+
+
+class TestOneForwardPerStep:
+    def test_step_reuses_the_batch_forward(self, monkeypatch):
+        import sfr.encoder as encoder_mod
+        import sfr.metric as metric_mod
+
+        conv_calls, factor_calls = [], []
+        real_conv, real_factor = encoder_mod.conv2d_valid, metric_mod.DictionaryFactor
+
+        def counting_conv(*args):
+            conv_calls.append(args)
+            return real_conv(*args)
+
+        def counting_factor(*args):
+            factor_calls.append(args)
+            return real_factor(*args)
+
+        monkeypatch.setattr(encoder_mod, "conv2d_valid", counting_conv)
+        monkeypatch.setattr(metric_mod, "DictionaryFactor", counting_factor)
+        batch, params = small_training_batch(seed=4)
+        samples = len(batch.samples)
+        assert len(conv_calls) == samples * len(params.layers)
+
+        conv_calls.clear()
+        _, report = training_step(batch, BETA, 0.3, 1e-3)
+        assert report.active_triplets > 0
+        assert conv_calls == []
+        assert len(factor_calls) <= samples
 
 
 class TestEndToEndGradient:
     def test_matches_finite_differences(self):
         batch, params = small_training_batch(seed=3)
         assert params.parameter_count() <= 5000
-        grads, plan = step_gradients(batch, params, BETA, 0.3)
+        grads, plan = step_gradients(batch, BETA, 0.3)
         assert plan.report.active_triplets > 0
         for li in range(len(params.layers)):
             def objective_k(kernel, li=li):
@@ -347,8 +376,8 @@ class TestEndToEndGradient:
             assert relative_error(grads[li].bias, fd_b) < 1e-3
 
     def test_unnormalized_path_also_matches(self):
-        batch, params = small_training_batch(seed=11)
-        grads, plan = step_gradients(batch, params, BETA, 0.3, normalize=False)
+        batch, params = small_training_batch(seed=11, normalize=False)
+        grads, plan = step_gradients(batch, BETA, 0.3)
 
         def objective(kernel):
             layers = (ConvLayer(kernel, params.layers[0].bias, True), params.layers[1])

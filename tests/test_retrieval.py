@@ -12,11 +12,9 @@ from sfr.retrieval import (
     RetrievalRanking,
     ScoredEntry,
     build_gallery,
-    cmc_curve,
     evaluate,
     load_manifest,
     match_probe,
-    mean_average_precision,
     merge_entries_by_subject,
     write_cmc_csv,
     write_manifest,
@@ -156,13 +154,13 @@ class TestEvaluation:
     def test_single_probe_match_at_rank_two(self):
         subject_of = {"g1": "x", "g2": "t", "g3": "y"}
         rankings = [fake_ranking("p", ["g1", "g2", "g3"])]
-        cmc = cmc_curve(rankings, {"p": "t"}, subject_of)
+        cmc = evaluate(rankings, {"p": "t"}, subject_of).cmc
         np.testing.assert_array_equal(cmc, [0.0, 1.0, 1.0])
 
     def test_all_rank_one(self):
         subject_of = {"g1": "a", "g2": "b"}
         rankings = [fake_ranking("p1", ["g1", "g2"]), fake_ranking("p2", ["g2", "g1"])]
-        cmc = cmc_curve(rankings, {"p1": "a", "p2": "b"}, subject_of)
+        cmc = evaluate(rankings, {"p1": "a", "p2": "b"}, subject_of).cmc
         np.testing.assert_array_equal(cmc, [1.0, 1.0])
 
     def test_cmc_monotone_and_matches_enumeration(self):
@@ -178,7 +176,7 @@ class TestEvaluation:
             target = f"s{int(rng.integers(0, n))}"
             truth[f"p{p}"] = target
             best.append(order.index(f"g{target[1:]}") + 1)
-        cmc = cmc_curve(rankings, truth, subject_of)
+        cmc = evaluate(rankings, truth, subject_of).cmc
         for k in range(n):
             expected = sum(1 for b in best if b <= k + 1) / 5
             assert cmc[k] == pytest.approx(expected)
@@ -186,14 +184,14 @@ class TestEvaluation:
 
     def test_map_single_true_match(self):
         subject_of = {"g1": "x", "g2": "t"}
-        assert mean_average_precision([fake_ranking("p", ["g2", "g1"])], {"p": "t"}, subject_of) == 1.0
-        assert mean_average_precision([fake_ranking("p", ["g1", "g2"])], {"p": "t"}, subject_of) == 0.5
+        assert evaluate([fake_ranking("p", ["g2", "g1"])], {"p": "t"}, subject_of).map == 1.0
+        assert evaluate([fake_ranking("p", ["g1", "g2"])], {"p": "t"}, subject_of).map == 0.5
 
     def test_map_hand_mean(self):
         subject_of = {"g1": "a", "g2": "b"}
         rankings = [fake_ranking("p1", ["g1", "g2"]), fake_ranking("p2", ["g1", "g2"])]
         truth = {"p1": "a", "p2": "b"}
-        got = mean_average_precision(rankings, truth, subject_of)
+        got = evaluate(rankings, truth, subject_of).map
         assert got == pytest.approx(0.75)  # AP 1.0 and 0.5
 
     def test_multi_match_average_precision(self):
@@ -205,12 +203,12 @@ class TestEvaluation:
     def test_probe_without_true_match(self):
         subject_of = {"g1": "a"}
         with pytest.raises(MismatchError, match="no gallery entry"):
-            cmc_curve([fake_ranking("p", ["g1"])], {"p": "zzz"}, subject_of)
+            evaluate([fake_ranking("p", ["g1"])], {"p": "zzz"}, subject_of).cmc
 
     def test_unknown_probe_id(self):
         subject_of = {"g1": "a"}
         with pytest.raises(MismatchError, match="unknown probe"):
-            cmc_curve([fake_ranking("p", ["g1"])], {"other": "a"}, subject_of)
+            evaluate([fake_ranking("p", ["g1"])], {"other": "a"}, subject_of).cmc
 
     @pytest.mark.parametrize("order, message", [
         (["g1", "g1"], "2 entries, 1 distinct"),
