@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -164,12 +163,9 @@ def _load_entry(manifest_entry, cfg: RunConfig, base: Path) -> GalleryEntry:
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
-    fmap = load_feature_map(args.input)
-    matrix = pyramid_pool(fmap, cfg.pyramid())
-    if cfg.normalize:
-        matrix = l2_normalize_columns(matrix)
-    save_pooled(args.out, matrix, global_average_pool(fmap))
-    print(f"{matrix.count} columns")
+    entry = _pooled_entry("", "", load_feature_map(args.input), cfg)
+    save_pooled(args.out, entry.spatial, entry.global_feature)
+    print(f"{entry.spatial.count} columns")
     return 0
 
 
@@ -217,15 +213,7 @@ def cmd_match(args, cfg: RunConfig) -> int:
     )
     probes = [(m.entry_id, _load_entry(m, cfg, probe_base)) for m in probe_manifest]
 
-    def _one(item):
-        probe_id, entry = item
-        return match_probe((entry.global_feature, entry.spatial), gallery, probe_id)
-
-    if cfg.workers == 1:
-        rankings = [_one(p) for p in probes]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rankings = list(pool.map(_one, probes))
+    rankings = [match_probe((e.global_feature, e.spatial), gallery, probe_id) for probe_id, e in probes]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

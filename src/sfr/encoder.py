@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, MismatchError
 from .features import MAGIC, VERSION, SpatialFeatureMap, _freeze
@@ -129,34 +130,22 @@ def init_params(layer_specs: Sequence[LayerSpec], seed: int) -> EncoderParams:
     return EncoderParams(tuple(layers), seed=seed)
 
 
+def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # out[o, i, j] = sum over c, di, dj of kernel[o, c, di, dj] * x[c, i + di, j + dj]:
+    # every k x k window of x at once (im2col), contracted with the kernel.
+    k = kernel.shape[2]
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, h, w, k, k)
+    return np.tensordot(kernel, windows, axes=([1, 2, 3], [0, 3, 4]))
+
+
 def conv2d_valid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid-padding convolution of a (C, H, W) grid with an (O, C, k, k) kernel."""
-    out_c, in_c, k, _ = kernel.shape
+    _, in_c, k, _ = kernel.shape
     if x.shape[0] != in_c:
         raise MismatchError(f"input channels {x.shape[0]} != kernel in_c {in_c}")
-    h = x.shape[1] - k + 1
-    w = x.shape[2] - k + 1
-    if h < 1 or w < 1:
+    if x.shape[1] < k or x.shape[2] < k:
         raise ValueError(f"input {x.shape[1]}x{x.shape[2]} smaller than kernel {k}x{k}")
-    out = np.zeros((out_c, h, w))
-    for di in range(k):
-        for dj in range(k):
-            out += np.einsum("oc,chw->ohw", kernel[:, :, di, dj], x[:, di:di + h, dj:dj + w])
-    return out + bias[:, None, None]
-
-
-def _conv2d_valid_backward(x, kernel, grad_out):
-    k = kernel.shape[2]
-    h, w = grad_out.shape[1], grad_out.shape[2]
-    grad_bias = grad_out.sum(axis=(1, 2))
-    grad_kernel = np.zeros_like(kernel)
-    grad_x = np.zeros_like(x)
-    for di in range(k):
-        for dj in range(k):
-            patch = x[:, di:di + h, dj:dj + w]
-            grad_kernel[:, :, di, dj] = np.einsum("ohw,chw->oc", grad_out, patch)
-            grad_x[:, di:di + h, dj:dj + w] += np.einsum("oc,ohw->chw", kernel[:, :, di, dj], grad_out)
-    return grad_x, grad_kernel, grad_bias
+    return _correlate(x, kernel) + bias[:, None, None]
 
 
 def _downsample(x: np.ndarray) -> np.ndarray:
@@ -231,8 +220,14 @@ def encode_backward(
         if layer.downsample:
             g = _downsample_backward(g, mask.shape)
         g = g * mask
-        g, grad_kernel, grad_bias = _conv2d_valid_backward(forward.inputs[i], layer.kernel, g)
-        grads[i] = LayerGradients(grad_kernel, grad_bias)
+        k = layer.kernel_size
+        windows = sliding_window_view(forward.inputs[i], (k, k), axis=(1, 2))
+        grads[i] = LayerGradients(np.tensordot(g, windows, axes=([1, 2], [1, 2])), g.sum(axis=(1, 2)))
+        if i > 0:  # the image needs no gradient
+            # Full correlation with the flipped, channel-swapped kernel: the
+            # transpose of the forward's valid correlation.
+            padded = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+            g = _correlate(padded, layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return grads  # type: ignore[return-value]
 
 

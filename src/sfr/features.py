@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, MismatchError
 
 MAGIC = b"SFRF"
 VERSION = 1
@@ -157,6 +157,25 @@ def pool_columns(values: np.ndarray, spec: PyramidSpec) -> np.ndarray:
         acc = acc[:, ::spec.stride, ::spec.stride] / float(k * k)
         blocks.append(acc.reshape(c, -1))
     return np.concatenate(blocks, axis=1)
+
+
+def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, int, int], spec: PyramidSpec) -> np.ndarray:
+    """The transpose of pool_columns: maps a (C, N) gradient on its columns
+    back onto the (C, H, W) grid they were pooled from."""
+    c, h, w = shape
+    fitting = usable_kernels(spec, h, w)
+    counts = [len(range(0, h - k + 1, spec.stride)) * len(range(0, w - k + 1, spec.stride)) for k in fitting]
+    if sum(counts) != dx.shape[1]:
+        raise MismatchError(f"spatial gradient has {dx.shape[1]} columns, pooling produced {sum(counts)}")
+    out = np.zeros((c, h, w))
+    for k, block in zip(fitting, np.split(dx, np.cumsum(counts)[:-1], axis=1)):
+        acc = np.zeros((c, h - k + 1, w - k + 1))
+        strided = acc[:, ::spec.stride, ::spec.stride]
+        strided[...] = block.reshape(strided.shape) / float(k * k)
+        for di in range(k):
+            for dj in range(k):
+                out[:, di:di + h - k + 1, dj:dj + w - k + 1] += acc
+    return out
 
 
 def pyramid_pool(fmap: SpatialFeatureMap, spec: PyramidSpec = DEFAULT_PYRAMID) -> FeatureMatrix:

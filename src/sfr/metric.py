@@ -40,7 +40,7 @@ from .features import (
     PyramidSpec,
     l2_normalize_columns,
     pool_columns,
-    usable_kernels,
+    pool_columns_adjoint,
 )
 from .reconstruction import DictionaryFactor, ReconstructionCoefficients, ReconstructionScorer
 
@@ -255,20 +255,9 @@ class StepPlan:
 def _pool_backward(
     grid_shape: tuple[int, int, int], dg: np.ndarray, dx: np.ndarray, pyramid: PyramidSpec
 ) -> np.ndarray:
-    # Adjoint of (global mean, sliding-window means) back onto the grid.
-    c, h, w = grid_shape
-    out = np.empty((c, h, w))
-    out[:] = (dg / float(h * w))[:, None, None]
-    col = 0
-    for k in usable_kernels(pyramid, h, w):
-        inv = 1.0 / float(k * k)
-        for i in range(0, h - k + 1, pyramid.stride):
-            for j in range(0, w - k + 1, pyramid.stride):
-                out[:, i:i + k, j:j + k] += (dx[:, col] * inv)[:, None, None]
-                col += 1
-    if col != dx.shape[1]:
-        raise MismatchError(f"spatial gradient has {dx.shape[1]} columns, pooling produced {col}")
-    return out
+    # Adjoint of (global mean, pyramid columns) back onto the grid.
+    _, h, w = grid_shape
+    return (dg / float(h * w))[:, None, None] + pool_columns_adjoint(dx, grid_shape, pyramid)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

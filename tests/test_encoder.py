@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.signal import correlate
 
 from sfr.encoder import (
     ConvLayer,
@@ -118,6 +119,18 @@ class TestEncode:
         np.testing.assert_allclose(doubled, 2.0 * conv2d_valid(x, kernel, np.zeros(3)), rtol=1e-12)
 
 
+    @pytest.mark.parametrize("in_c", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv_matches_scipy_correlate(self, in_c, k):
+        rng = np.random.default_rng(14)
+        kernel = rng.standard_normal((4, in_c, k, k))
+        bias = rng.standard_normal(4)
+        x = rng.standard_normal((in_c, 9, 6))
+        expected = np.stack(
+            [sum(correlate(x[c], kernel[o, c], mode="valid") for c in range(in_c)) + bias[o] for o in range(4)]
+        )
+        np.testing.assert_allclose(conv2d_valid(x, kernel, bias), expected, rtol=1e-12, atol=1e-12)
+
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(4)
@@ -129,12 +142,16 @@ class TestBackward:
             np.testing.assert_array_equal(g.kernel, 0.0)
             np.testing.assert_array_equal(g.bias, 0.0)
 
-    def test_matches_finite_differences(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [((3, 1, 3, True), (5, 3, 3, False)), ((3, 2, 1, False), (4, 3, 5, True))],
+        ids=["k3-k3", "k1-k5-two-channel-image"],
+    )
+    def test_matches_finite_differences(self, spec):
         rng = np.random.default_rng(42)
-        spec = ((3, 1, 3, True), (5, 3, 3, False))
         params = init_params(spec, 42)
         assert params.parameter_count() <= 5000
-        img = random_image(rng, 1, 12, 11)
+        img = random_image(rng, spec[0][1], 12, 11)
         upstream = rng.standard_normal(encode_raw(img, params).shape)
 
         for li in range(len(params.layers)):

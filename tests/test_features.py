@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfr.errors import FormatError
+from sfr.errors import FormatError, MismatchError
 from sfr.features import (
     DEFAULT_PYRAMID,
     FeatureMatrix,
@@ -14,6 +14,8 @@ from sfr.features import (
     l2_normalize_columns,
     load_feature_map,
     load_pooled,
+    pool_columns,
+    pool_columns_adjoint,
     pyramid_pool,
     save_feature_map,
     save_pooled,
@@ -208,6 +210,31 @@ class TestPyramidPool:
             PyramidSpec((0, 1))
         with pytest.raises(ValueError):
             PyramidSpec((1, 2), stride=0)
+
+
+class TestPoolColumnsAdjoint:
+    # Kernel sets include sizes above min(H, W), which pooling skips.
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape, kernels", [((3, 7, 5), (1, 2, 4, 6)), ((2, 3, 8), (1, 3, 4)), ((1, 6, 6), (2, 5, 7, 8))]
+    )
+    def test_dot_product_identity(self, stride, shape, kernels):
+        # <pool_columns(v), dx> = <v, adjoint(dx)> for every v and dx.
+        rng = np.random.default_rng(13)
+        spec = PyramidSpec(kernels, stride=stride)
+        v = rng.standard_normal(shape)
+        cols = pool_columns(v, spec)
+        dx = rng.standard_normal(cols.shape)
+        lhs = float(np.sum(cols * dx))
+        rhs = float(np.sum(v * pool_columns_adjoint(dx, shape, spec)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_column_count(self, extra):
+        spec = PyramidSpec((1, 2), stride=2)
+        n = pool_columns(np.zeros((2, 5, 4)), spec).shape[1]
+        with pytest.raises(MismatchError, match="columns"):
+            pool_columns_adjoint(np.zeros((2, n + extra)), (2, 5, 4), spec)
 
 
 class TestNormalization:
