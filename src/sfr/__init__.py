@@ -5,118 +5,29 @@ spatial feature matrix; matching reconstructs probe columns from a gallery
 dictionary with a closed-form ridge solve and fuses the residual distance with
 the global Euclidean distance. Training embeds that distance in a batch-hard
 triplet loss over a small convolutional encoder.
+
+The package exports its data types, its errors, the CLI entry point and the
+oracle suite; everything else is imported from its module.
 """
 
-from .encoder import (
-    ConvLayer,
-    EncoderParams,
-    ToyImage,
-    encode,
-    encode_backward,
-    encode_forward,
-    init_params,
-    load_params,
-    save_params,
-)
+from .cli import main
+from .encoder import EncoderParams
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import (
-    DEFAULT_PYRAMID,
-    FeatureMatrix,
-    GlobalFeature,
-    PyramidSpec,
-    SpatialFeatureMap,
-    global_average_pool,
-    l2_normalize_columns,
-    load_feature_map,
-    load_pooled,
-    pyramid_pool,
-    save_feature_map,
-    save_pooled,
-)
-from .metric import (
-    BatchSample,
-    LossReport,
-    MinedTriplet,
-    TripletBatch,
-    batch_hard_mine,
-    combined_distance,
-    euclidean_distance,
-    sfr_triplet_loss,
-    training_step,
-)
-from .oracle import OracleReport, exhaustive_mine, finite_difference, ridge_oracle, run_verification
-from .reconstruction import (
-    ReconstructionCoefficients,
-    ReconstructionResult,
-    reconstruction_objective,
-    sfr_distance,
-    sfr_gradients,
-    solve_coefficients,
-)
-from .retrieval import (
-    EvalReport,
-    GalleryEntry,
-    GalleryIndex,
-    RetrievalRanking,
-    build_gallery,
-    evaluate,
-    match_probe,
-    merge_entries_by_subject,
-)
+from .features import FeatureMatrix, GlobalFeature, PyramidSpec, SpatialFeatureMap
+from .oracle import OracleReport, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchSample",
-    "ConvLayer",
-    "DEFAULT_PYRAMID",
     "EncoderParams",
-    "EvalReport",
     "FactorizationError",
     "FeatureMatrix",
     "FormatError",
-    "GalleryEntry",
-    "GalleryIndex",
     "GlobalFeature",
-    "LossReport",
-    "MinedTriplet",
     "MismatchError",
     "OracleReport",
     "PyramidSpec",
-    "ReconstructionCoefficients",
-    "ReconstructionResult",
-    "RetrievalRanking",
     "SpatialFeatureMap",
-    "ToyImage",
-    "TripletBatch",
-    "batch_hard_mine",
-    "build_gallery",
-    "combined_distance",
-    "encode",
-    "encode_backward",
-    "encode_forward",
-    "euclidean_distance",
-    "evaluate",
-    "exhaustive_mine",
-    "finite_difference",
-    "global_average_pool",
-    "init_params",
-    "l2_normalize_columns",
-    "load_feature_map",
-    "load_params",
-    "load_pooled",
-    "match_probe",
-    "merge_entries_by_subject",
-    "pyramid_pool",
-    "reconstruction_objective",
-    "ridge_oracle",
+    "main",
     "run_verification",
-    "save_feature_map",
-    "save_params",
-    "save_pooled",
-    "sfr_distance",
-    "sfr_gradients",
-    "sfr_triplet_loss",
-    "solve_coefficients",
-    "training_step",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -68,6 +69,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "margin", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.beta <= 0:
@@ -103,6 +107,18 @@ class RunConfig:
         return PyramidSpec(self.kernels)
 
 
+def _has_field_type(value, default) -> bool:
+    """Whether a JSON value has the type of the field whose default is
+    `default`. An int is a float; a bool is not a number."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_has_field_type(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _build_config(args) -> RunConfig:
     data = {}
     if getattr(args, "config", None):
@@ -111,10 +127,15 @@ def _build_config(args) -> RunConfig:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{args.config}: {exc}") from exc
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(loaded) - known
+        if not isinstance(loaded, dict):
+            raise FormatError(f"{args.config}: config must be a JSON object, got {type(loaded).__name__}")
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        unknown = set(loaded) - set(defaults)
         if unknown:
             raise FormatError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        for name, value in loaded.items():
+            if not _has_field_type(value, defaults[name]):
+                raise FormatError(f"{args.config}: {name} has the wrong type: {value!r}")
         data.update(loaded)
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -275,14 +296,12 @@ def cmd_train_demo(args, cfg: RunConfig) -> int:
     rows = []
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate(epoch)
-        monitor = build_batch(
-            monitor_picks, params, pyramid=pyramid, normalize=cfg.normalize, margin=cfg.margin
-        )
+        monitor = build_batch(monitor_picks, params, pyramid=pyramid, normalize=cfg.normalize)
         monitor_loss = sfr_triplet_loss(monitor, cfg.beta, cfg.margin)
         # fresh identity/view draw per epoch, deterministic in (seed, epoch)
         rng = np.random.default_rng((cfg.seed, epoch))
         picks = sample_batch(train_pool, p_eff, cfg.k, rng)
-        batch = build_batch(picks, params, pyramid=pyramid, normalize=cfg.normalize, margin=cfg.margin)
+        batch = build_batch(picks, params, pyramid=pyramid, normalize=cfg.normalize)
         params, report = training_step(batch, cfg.beta, cfg.margin, lr)
         rows.append((epoch, monitor_loss.total_loss, report.total_loss, report.active_triplets, lr))
 

@@ -7,10 +7,11 @@ reconstructed from the other sample's dictionary. The training step follows
 the two-phase alternation: phase one freezes the encoder and computes the
 mined triplets, the hinge active set, the coefficient matrices, and (when
 normalization is on) the column scales, all of which stay fixed through the
-update; phase two backpropagates the squared-Frobenius-residual gradients in
-the solve's coordinates, chained through the frozen scales, plus the global
-Euclidean gradients, through the pooling layers into the encoder, and applies
-one SGD update. Each sample is encoded once per step: build_batch keeps its
+update; phase two backpropagates the squared-Frobenius-residual gradients
+(from sfr_gradients, the function the oracle checks) in the solve's
+coordinates, chained through the frozen scales, plus the global Euclidean
+gradients, through the pooling layers into the encoder, and applies one SGD
+update. Each sample is encoded once per step: build_batch keeps its
 forward pass and column scales, and the step reads everything from the batch.
 """
 
@@ -42,7 +43,12 @@ from .features import (
     pool_columns,
     pool_columns_adjoint,
 )
-from .reconstruction import DictionaryFactor, ReconstructionCoefficients, ReconstructionScorer
+from .reconstruction import (
+    DictionaryFactor,
+    ReconstructionCoefficients,
+    ReconstructionScorer,
+    sfr_gradients,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,6 @@ class TripletBatch:
     subjects: int
     images_per_subject: int
     samples: tuple[BatchSample, ...]
-    margin: float = 0.3
     params: EncoderParams | None = None
     pyramid: PyramidSpec | None = None
 
@@ -83,8 +88,6 @@ class TripletBatch:
         counts = Counter(s.label for s in self.samples)
         if len(counts) != p or any(c != k for c in counts.values()):
             raise ValueError(f"each of {p} identities must appear exactly {k} times, got {dict(counts)}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be nonnegative, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,6 @@ def build_batch(
     *,
     pyramid: PyramidSpec = DEFAULT_PYRAMID,
     normalize: bool = True,
-    margin: float = 0.3,
 ) -> TripletBatch:
     """Encode a P x K image selection into a TripletBatch."""
     counts = Counter(label for label, _ in labeled_images)
@@ -234,21 +236,19 @@ def build_batch(
         encode_batch_sample(label, img, params, pyramid=pyramid, normalize=normalize)
         for label, img in labeled_images
     )
-    return TripletBatch(len(counts), k_values.pop(), samples, margin, params, pyramid)
+    return TripletBatch(len(counts), k_values.pop(), samples, params, pyramid)
 
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Everything frozen by phase one of the alternating step: the mined
-    triplets, the hinge active set, the coefficient matrices, and the
-    per-sample column scales the normalization applied (all ones when
-    normalization is off)."""
+    """Phase one of the alternating step: the mined triplets, the hinge active
+    set and the coefficient matrices, frozen with the batch's column scales
+    through the update."""
 
     triplets: tuple[MinedTriplet, ...]
     active: tuple[bool, ...]
     coeff_pos: tuple[ReconstructionCoefficients, ...]
     coeff_neg: tuple[ReconstructionCoefficients, ...]
-    column_scales: tuple[np.ndarray, ...]
     report: LossReport
 
 
@@ -281,15 +281,14 @@ def step_gradients(
     factors = [DictionaryFactor(s.spatial, beta) for s in samples]
     coeff_pos = tuple(factors[t.positive_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
     coeff_neg = tuple(factors[t.negative_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
-    scales = tuple(s.column_scales for s in samples)
-    plan = StepPlan(tuple(mined), active, coeff_pos, coeff_neg, scales, report)
+    plan = StepPlan(tuple(mined), active, coeff_pos, coeff_neg, report)
 
     globals_ = [s.global_feature.values for s in samples]
     # The solve's coordinates: the raw pyramid columns divided by the frozen
     # scales, which is the stored spatial matrix bit for bit.
-    units = [s.spatial.columns for s in samples]
+    spatial = [s.spatial for s in samples]
     dg = [np.zeros_like(g) for g in globals_]
-    dx = [np.zeros_like(u) for u in units]
+    dx = [np.zeros_like(x.columns) for x in spatial]
     for t, is_active, wp, wn in zip(mined, active, coeff_pos, coeff_neg):
         if not is_active:
             continue
@@ -299,13 +298,13 @@ def step_gradients(
         dg[a] += u - v
         dg[p] -= u
         dg[n] += v
-        r_pos = units[a] - units[p] @ wp.matrix
-        r_neg = units[a] - units[n] @ wn.matrix
-        dx[a] += 2.0 * (r_pos - r_neg)
-        dx[p] -= 2.0 * r_pos @ wp.matrix.T
-        dx[n] += 2.0 * r_neg @ wn.matrix.T
+        ga_p, go_p = sfr_gradients(spatial[a], spatial[p], wp)
+        ga_n, go_n = sfr_gradients(spatial[a], spatial[n], wn)
+        dx[a] += ga_p - ga_n
+        dx[p] += go_p
+        dx[n] -= go_n
     # Chain through the frozen scaling back onto the raw pyramid columns.
-    dx = [g / s for g, s in zip(dx, scales)]
+    dx = [g / s.column_scales for g, s in zip(dx, samples)]
 
     params = batch.params
     kernel_acc = [np.zeros_like(l.kernel) for l in params.layers]
@@ -326,13 +325,13 @@ def frozen_step_objective(
 ) -> float:
     """The phase-two objective as a function of encoder parameters: over the
     plan's active anchors, margin + global Euclidean gap + squared-Frobenius
-    reconstruction gap, with the plan's coefficients and column scales frozen.
-    step_gradients returns the exact gradient of this scalar. It encodes every
-    sample's image afresh with params, never reading the batch's stored
-    forward passes, so that it stays an independent reference."""
+    reconstruction gap, with the plan's coefficients and the batch's column
+    scales frozen. step_gradients returns the exact gradient of this scalar.
+    It encodes every sample's image afresh with params, never reading the
+    batch's stored forward passes, so that it stays an independent reference."""
     pooled = [_pool_grid(encode_raw(s.image, params), batch.pyramid) for s in batch.samples]
     globals_ = [g for g, _ in pooled]
-    units = [x / s for (_, x), s in zip(pooled, plan.column_scales)]
+    units = [x / s.column_scales for (_, x), s in zip(pooled, batch.samples)]
     total = 0.0
     for t, is_active, wp, wn in zip(plan.triplets, plan.active, plan.coeff_pos, plan.coeff_neg):
         if not is_active:

@@ -130,7 +130,7 @@ def random_batch(rng: np.random.Generator, p: int, k: int, dim: int, max_count: 
             g = GlobalFeature(center + rng.standard_normal(dim) * 0.5)
             count = int(rng.integers(2, max_count + 1))
             samples.append(BatchSample(f"id{identity}", g, random_feature_matrix(rng, dim, count)))
-    return TripletBatch(p, k, tuple(samples), margin=0.3)
+    return TripletBatch(p, k, tuple(samples))
 
 
 def _window_count(h: int, w: int, kernels, stride: int = 1) -> int:

@@ -94,12 +94,6 @@ class DictionaryFactor:
         w = cho_solve(self._factor, self.dictionary.columns.T @ x.columns)
         return ReconstructionCoefficients(w, self.beta)
 
-    def reconstruct(self, x: FeatureMatrix) -> ReconstructionResult:
-        coeff = self.solve(x)
-        residual = x.columns - self.dictionary.columns @ coeff.matrix
-        distance = float(np.linalg.norm(residual, axis=0).mean())
-        return ReconstructionResult(coeff, residual, distance)
-
     def whitened_dictionary(self) -> np.ndarray:
         """B = Y L^{-T} (d x M) for Y^T Y + beta I = L L^T, so that the
         reconstruction Y W = Y (L L^T)^{-1} Y^T X is B B^T X."""
@@ -192,8 +186,11 @@ def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> Recon
 
 
 def sfr_distance(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> ReconstructionResult:
-    """Reconstruction distance: mean l2 norm of the columns of X - Y W."""
-    return DictionaryFactor(y, beta).reconstruct(x)
+    """Reconstruction distance: mean l2 norm of the columns of X - Y W, one
+    pair at a time; the per-pair reference for ReconstructionScorer."""
+    coeff = solve_coefficients(x, y, beta)
+    residual = x.columns - y.columns @ coeff.matrix
+    return ReconstructionResult(coeff, residual, float(np.linalg.norm(residual, axis=0).mean()))
 
 
 def sfr_gradients(
@@ -213,13 +210,3 @@ def sfr_gradients(
     residual = x_anchor.columns - x_other.columns @ w
     return 2.0 * residual, -2.0 * residual @ w.T
 
-
-def reconstruction_objective(x: FeatureMatrix, y: FeatureMatrix, w: np.ndarray, beta: float) -> float:
-    """||X - Y W||_F^2 + beta ||W||_F^2 for an arbitrary coefficient matrix."""
-    w = np.asarray(w, dtype=np.float64)
-    if x.dim != y.dim:
-        raise MismatchError(f"feature dims differ: {x.dim} vs {y.dim}")
-    if w.shape != (y.count, x.count):
-        raise MismatchError(f"coefficient shape {w.shape} inconsistent with counts ({y.count}, {x.count})")
-    residual = x.columns - y.columns @ w
-    return float(np.sum(residual * residual) + beta * np.sum(w * w))

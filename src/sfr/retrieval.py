@@ -81,20 +81,6 @@ def build_gallery(entries, alpha: float, beta: float) -> GalleryIndex:
     return GalleryIndex(tuple(entries), alpha, beta)
 
 
-def merge_entries_by_subject(entries) -> list[GalleryEntry]:
-    """Multi-shot mode: concatenate each subject's spatial features into one
-    dictionary entry (entry id = subject id, global feature = member mean)."""
-    by_subject: dict[str, list[GalleryEntry]] = {}
-    for e in entries:
-        by_subject.setdefault(e.subject_id, []).append(e)
-    merged = []
-    for subject_id, group in by_subject.items():
-        gvec = np.mean([g.global_feature.values for g in group], axis=0)
-        cols = np.concatenate([g.spatial.columns for g in group], axis=1)
-        merged.append(GalleryEntry(subject_id, subject_id, GlobalFeature(gvec), FeatureMatrix(cols)))
-    return merged
-
-
 def match_probe(
     probe: tuple[GlobalFeature, FeatureMatrix], gallery: GalleryIndex, probe_id: str = ""
 ) -> RetrievalRanking:

@@ -120,7 +120,7 @@ def test_criterion_3_gradient_checks():
     params = init_params(((4, 1, 3, True), (6, 4, 3, False)), 3)
     assert params.parameter_count() <= 5000
     picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs[:2]]
-    batch = build_batch(picks, params, margin=0.3)
+    batch = build_batch(picks, params)
     grads, plan = step_gradients(batch, 0.001, 0.3)
     assert plan.report.active_triplets > 0
     worst_e2e = 0.0

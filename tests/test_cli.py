@@ -48,6 +48,10 @@ class TestRunConfig:
             RunConfig(margin=-0.1)
         with pytest.raises(ValueError):
             RunConfig(lr_schedule="warmup")
+        for name in ("alpha", "beta", "margin", "lr"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    RunConfig(**{name: value})
 
     def test_step_schedule(self):
         cfg = RunConfig(lr=0.1, lr_schedule="step:0.5:10")
@@ -251,14 +255,40 @@ class TestConfigHandling:
         src = tmp_path / "map.sfrf"
         write_map(src, rng)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 1}))
-        assert main(["pool", "--input", str(src), "--out", str(tmp_path / "p.sfrf"), "--config", str(cfg)]) == 2
+        # an unknown key, a non-object, and values of the wrong type (a bool is not a number)
+        for config in (
+            {"gamma": 1},
+            5,
+            [["alpha", 5]],
+            {"alpha": "x"},
+            {"p": "3"},
+            {"epochs": 1.5},
+            {"workers": None},
+            {"normalize": "no"},
+            {"seed": True},
+            {"kernels": [1, "2"]},
+        ):
+            cfg.write_text(json.dumps(config))
+            argv = ["pool", "--input", str(src), "--out", str(tmp_path / "p.sfrf"), "--config", str(cfg)]
+            assert main(argv) == 2, config
 
     def test_bad_flag_value_exit_2(self, tmp_path):
         rng = np.random.default_rng(49)
         src = tmp_path / "map.sfrf"
         write_map(src, rng)
         assert main(["pool", "--input", str(src), "--out", str(tmp_path / "p.sfrf"), "--alpha", "2.0"]) == 2
+        for flag in ("--alpha", "--beta", "--margin", "--lr"):
+            for value in ("nan", "inf"):
+                argv = ["pool", "--input", str(src), "--out", str(tmp_path / "p.sfrf"), flag, value]
+                assert main(argv) == 2, (flag, value)
+        # a nan margin used to clamp every hinge and exit 4 with a loss of 0
+        assert main(["train-demo", "--out", str(tmp_path / "demo"), "--epochs", "1", "--margin", "nan"]) == 2
 
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_every_exported_name_resolves():
+    import sfr
+
+    assert [name for name in sfr.__all__ if not hasattr(sfr, name)] == []

@@ -142,7 +142,6 @@ class TestBatchHardMine:
             batch.subjects,
             batch.images_per_subject,
             tuple(batch.samples[i] for i in perm),
-            batch.margin,
         )
         inverse = np.argsort(perm)
         mined_p = batch_hard_mine(permuted, BETA)
@@ -244,7 +243,7 @@ def small_training_batch(seed=0, p=3, k=2, normalize=True):
     pools = make_identity_pools(p, k + 1, seed=seed)
     params = init_params(((4, 1, 3, True), (6, 4, 3, False)), seed)
     picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs[:k]]
-    return build_batch(picks, params, normalize=normalize, margin=0.3), params
+    return build_batch(picks, params, normalize=normalize), params
 
 
 class TestTrainingStep:
@@ -262,7 +261,7 @@ class TestTrainingStep:
         pools = make_identity_pools(2, 1, seed=2)
         params = init_params(((4, 1, 3, True),), 0)
         picks = [(label, imgs[0]) for label, imgs in sorted(pools.items()) for _ in range(2)]
-        clamped = build_batch(picks, params, margin=0.0)
+        clamped = build_batch(picks, params)
         updated, report = training_step(clamped, BETA, 0.0, 0.5)
         assert report.active_triplets == 0
         assert report.total_loss == 0.0
@@ -273,7 +272,7 @@ class TestTrainingStep:
         batch, params = small_training_batch()
         updated, _ = training_step(batch, BETA, 0.3, 1e-3)
         picks = [(s.label, s.image) for s in batch.samples]
-        after = sfr_triplet_loss(build_batch(picks, updated, margin=0.3), BETA, 0.3)
+        after = sfr_triplet_loss(build_batch(picks, updated), BETA, 0.3)
         assert np.isfinite(after.total_loss)
 
     def test_requires_images(self):
@@ -313,11 +312,11 @@ class TestTrainingStep:
         monitor_picks = [(l, img) for l, imgs in sorted(pools.items()) for img in imgs[:2]]
         monitor = []
         for epoch in range(50):
-            mb = build_batch(monitor_picks, params, margin=0.3)
+            mb = build_batch(monitor_picks, params)
             monitor.append(sfr_triplet_loss(mb, BETA, 0.3).total_loss)
             rng = np.random.default_rng((7, epoch))
             picks = sample_batch(pools, 2, 4, rng)
-            batch = build_batch(picks, params, margin=0.3)
+            batch = build_batch(picks, params)
             params, _ = training_step(batch, BETA, 0.3, 2e-4)
         windows = [np.mean(monitor[t:t + 10]) for t in range(0, 41, 10)]
         assert all(b < a for a, b in zip(windows, windows[1:]))
@@ -350,6 +349,24 @@ class TestOneForwardPerStep:
         assert report.active_triplets > 0
         assert conv_calls == []
         assert len(factor_calls) <= samples
+
+
+class TestOracleCheckedGradient:
+    def test_step_takes_residual_gradients_from_sfr_gradients(self, monkeypatch):
+        import sfr.metric as metric_mod
+        from sfr.reconstruction import sfr_gradients
+
+        calls = []
+
+        def counting_gradients(*args):
+            calls.append(args)
+            return sfr_gradients(*args)
+
+        monkeypatch.setattr(metric_mod, "sfr_gradients", counting_gradients, raising=False)
+        batch, _ = small_training_batch(seed=4)
+        _, report = training_step(batch, BETA, 0.3, 1e-3)
+        assert report.active_triplets > 0
+        assert len(calls) == 2 * report.active_triplets
 
 
 class TestEndToEndGradient:

@@ -7,10 +7,8 @@ from sfr.errors import FactorizationError, MismatchError
 from sfr.features import FeatureMatrix, l2_normalize_columns
 from sfr.oracle import finite_difference, relative_error, ridge_oracle
 from sfr.reconstruction import (
-    DictionaryFactor,
     ReconstructionCoefficients,
     ReconstructionScorer,
-    reconstruction_objective,
     sfr_distance,
     sfr_gradients,
     solve_coefficients,
@@ -175,29 +173,6 @@ class TestGradients:
             sfr_gradients(fm(rng.standard_normal((4, 3))), fm(rng.standard_normal((4, 4))), w)
 
 
-class TestObjective:
-    def test_zero_coefficients(self):
-        rng = np.random.default_rng(9)
-        x, y = random_instance(rng, d=5, m=4, n=3)
-        got = reconstruction_objective(x, y, np.zeros((4, 3)), 0.5)
-        np.testing.assert_allclose(got, np.sum(x.columns**2), rtol=1e-12)
-
-    def test_scalar_value(self):
-        got = reconstruction_objective(fm([[2.0]]), fm([[1.0]]), np.array([[1.998002]]), 0.001)
-        np.testing.assert_allclose(got, 0.0039960, atol=1e-7)
-
-    def test_solved_coefficients_are_optimal(self):
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            x, y = random_instance(rng, d=6, m=5, n=4)
-            w = solve_coefficients(x, y, 0.05).matrix
-            base = reconstruction_objective(x, y, w, 0.05)
-            for _ in range(100):
-                delta = rng.standard_normal(w.shape)
-                delta *= rng.uniform(0, 1e-2) / max(np.linalg.norm(delta), 1e-12)
-                assert base <= reconstruction_objective(x, y, w + delta, 0.05) + 1e-12
-
-
 def unit_columns(rng, d, n, zero=()):
     """Nonnegative columns normalized as the pipeline does; the columns listed
     in zero stay zero, as normalization leaves an all-zero column."""
@@ -230,7 +205,7 @@ class TestReconstructionScorer:
         got = ReconstructionScorer(ys, beta).distances(x)
         assert got.shape == (len(ys),)
         for y, r in zip(ys, got):
-            assert abs(r - DictionaryFactor(y, beta).reconstruct(x).distance) <= 1e-12
+            assert abs(r - sfr_distance(x, y, beta).distance) <= 1e-12
             w = ridge_oracle(x, y, beta)
             assert abs(r - np.linalg.norm(x.columns - y.columns @ w, axis=0).mean()) <= 1e-8
 

@@ -15,7 +15,6 @@ from sfr.retrieval import (
     evaluate,
     load_manifest,
     match_probe,
-    merge_entries_by_subject,
     write_cmc_csv,
     write_manifest,
     write_summary_json,
@@ -233,33 +232,6 @@ class TestEvaluation:
             truth[f"p{p}"] = f"s{int(rng.integers(0, 4))}"
         report = evaluate(rankings, truth, subject_of)
         assert 0.0 < report.map <= 1.0
-
-
-class TestMultiShot:
-    def test_merge_concatenates_dictionaries(self):
-        rng = np.random.default_rng(50)
-        entries = [
-            random_entry(rng, "a1", "s1", count=3),
-            random_entry(rng, "a2", "s1", count=4),
-            random_entry(rng, "b1", "s2", count=2),
-        ]
-        merged = merge_entries_by_subject(entries)
-        by_subject = {e.subject_id: e for e in merged}
-        assert by_subject["s1"].spatial.count == 7
-        assert by_subject["s2"].spatial.count == 2
-        expected_global = np.mean(
-            [entries[0].global_feature.values, entries[1].global_feature.values], axis=0
-        )
-        np.testing.assert_allclose(by_subject["s1"].global_feature.values, expected_global)
-
-    def test_merged_gallery_matches(self):
-        rng = np.random.default_rng(51)
-        entries = [random_entry(rng, f"e{i}", f"s{i % 3}") for i in range(9)]
-        gallery = build_gallery(merge_entries_by_subject(entries), 0.7, BETA)
-        assert len(gallery.entries) == 3
-        probe = (GlobalFeature(rng.standard_normal(6)), FeatureMatrix(rng.standard_normal((6, 4))))
-        ranking = match_probe(probe, gallery, "p")
-        assert len(ranking.scored) == 3
 
 
 class TestManifests:
