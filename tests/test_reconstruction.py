@@ -173,6 +173,40 @@ class TestGradients:
             sfr_gradients(fm(rng.standard_normal((4, 3))), fm(rng.standard_normal((4, 4))), w)
 
 
+def ridge_objective(x, y, w, beta):
+    """||X - Y W||_F^2 + beta ||W||_F^2, the objective the solve minimizes."""
+    r = x.columns - y.columns @ w
+    return float(np.sum(r * r) + beta * np.sum(w * w))
+
+
+class TestObjective:
+    def test_zero_coefficients(self):
+        # an all-zero dictionary explains nothing: W = 0 and the residual is X
+        rng = np.random.default_rng(9)
+        x, y = fm(rng.standard_normal((5, 3))), fm(np.zeros((5, 4)))
+        res = sfr_distance(x, y, 0.5)
+        np.testing.assert_array_equal(res.coefficients.matrix, np.zeros((4, 3)))
+        np.testing.assert_array_equal(res.residual, x.columns)
+        got = ridge_objective(x, y, res.coefficients.matrix, 0.5)
+        np.testing.assert_allclose(got, np.sum(x.columns**2), rtol=1e-12)
+
+    def test_scalar_value(self):
+        x, y = fm([[2.0]]), fm([[1.0]])
+        w = sfr_distance(x, y, 0.001).coefficients.matrix
+        np.testing.assert_allclose(ridge_objective(x, y, w, 0.001), 0.0039960, atol=1e-7)
+
+    def test_solved_coefficients_are_optimal(self):
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            x, y = random_instance(rng, d=6, m=5, n=4)
+            w = solve_coefficients(x, y, 0.05).matrix
+            base = ridge_objective(x, y, w, 0.05)
+            for _ in range(100):
+                delta = rng.standard_normal(w.shape)
+                delta *= rng.uniform(0, 1e-2) / max(np.linalg.norm(delta), 1e-12)
+                assert base <= ridge_objective(x, y, w + delta, 0.05) + 1e-12
+
+
 def unit_columns(rng, d, n, zero=()):
     """Nonnegative columns normalized as the pipeline does; the columns listed
     in zero stay zero, as normalization leaves an all-zero column."""
