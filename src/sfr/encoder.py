@@ -5,7 +5,8 @@ correspondingly-sized feature grids instead of being forced to a fixed shape.
 The float64 forward (encode_forward, or encode_raw for its output alone) is
 what training and gradient checks use; encode() wraps the output into a
 binary32 SpatialFeatureMap. Training keeps each sample's ForwardPass so that
-encode_backward needs no second forward.
+encode_backward needs no second forward, and runs both passes over stacks of
+same-shape images, each sample keeping the bits of its own pass.
 """
 
 from __future__ import annotations
@@ -149,19 +150,19 @@ def conv2d_valid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndar
 
 
 def _downsample(x: np.ndarray) -> np.ndarray:
-    # 2x2 non-overlapping average; a trailing odd row/column is dropped.
-    c, h, w = x.shape
+    # 2x2 non-overlapping average of a (..., C, H, W) stack; a trailing odd
+    # row/column is dropped.
+    *lead, c, h, w = x.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValueError(f"grid {h}x{w} too small for 2x2 downsampling")
-    return x[:, : 2 * h2, : 2 * w2].reshape(c, h2, 2, w2, 2).mean(axis=(2, 4))
+    return x[..., : 2 * h2, : 2 * w2].reshape(*lead, c, h2, 2, w2, 2).mean(axis=(-3, -1))
 
 
-def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, int, int]) -> np.ndarray:
-    c, h, w = pre_shape
-    out = np.zeros((c, h, w))
-    h2, w2 = grad_out.shape[1], grad_out.shape[2]
-    out[:, : 2 * h2, : 2 * w2] = np.repeat(np.repeat(grad_out, 2, axis=1), 2, axis=2) / 4.0
+def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, ...]) -> np.ndarray:
+    out = np.zeros(pre_shape)
+    h2, w2 = grad_out.shape[-2:]
+    out[..., : 2 * h2, : 2 * w2] = np.repeat(np.repeat(grad_out, 2, axis=-2), 2, axis=-1) / 4.0
     return out
 
 
@@ -169,24 +170,40 @@ def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, int, int]) 
 class ForwardPass:
     """One forward pass: its output grid, and per layer the conv input and
     the ReLU mask (pre-activation > 0, shaped like the rectified grid) that
-    encode_backward reads in place of a second forward."""
+    encode_backward reads in place of a second forward. A pass over a stack
+    of same-shape images holds every array with a leading sample axis."""
 
     output: np.ndarray
     inputs: tuple[np.ndarray, ...]
     relu_masks: tuple[np.ndarray, ...]
 
+    def sample(self, j: int) -> "ForwardPass":
+        """Sample j of a stacked pass, as views of its arrays."""
+        return ForwardPass(self.output[j], tuple(x[j] for x in self.inputs), tuple(m[j] for m in self.relu_masks))
 
-def encode_forward(img: ToyImage, params: EncoderParams) -> ForwardPass:
-    """Float64 forward pass that keeps its layer cache for encode_backward."""
-    x = img.values
+
+def encode_forward(images: ToyImage | Sequence[ToyImage], params: EncoderParams) -> ForwardPass:
+    """Float64 forward pass that keeps its layer cache for encode_backward.
+
+    A sequence of same-shape images gives one stacked pass: each layer's
+    ReLU, mask and downsampling run once over the stack, while conv2d_valid
+    runs per image (a stacked contraction would round differently), so every
+    sample has the bits of its own pass. A single image is the one-sample
+    case, returned without the sample axis."""
+    single = isinstance(images, ToyImage)
+    pixels = [img.values for img in ([images] if single else images)]
+    x = np.stack(pixels)
     inputs, masks = [], []
     for layer in params.layers:
-        pre = conv2d_valid(x, layer.kernel, layer.bias)
+        # The first layer convolves each image's own pixel array, so that
+        # repeated forwards of one image pass conv2d_valid the same input.
+        pre = np.stack([conv2d_valid(xs, layer.kernel, layer.bias) for xs in (x if inputs else pixels)])
         inputs.append(x)
         masks.append(pre > 0.0)
         post = np.maximum(pre, 0.0)
         x = _downsample(post) if layer.downsample else post
-    return ForwardPass(x, tuple(inputs), tuple(masks))
+    forward = ForwardPass(x, tuple(inputs), tuple(masks))
+    return forward.sample(0) if single else forward
 
 
 def encode_raw(img: ToyImage, params: EncoderParams) -> np.ndarray:
@@ -205,7 +222,13 @@ def encode_backward(
 ) -> list[LayerGradients]:
     """Exact reverse-mode parameter gradients for a given gradient w.r.t. the
     output grid of a forward pass made with params. Rectification uses
-    subgradient 0 at exactly 0."""
+    subgradient 0 at exactly 0.
+
+    For a stacked pass the upstream gradient is stacked too, and each
+    layer's gradients come back per sample, with a leading sample axis: the
+    downsampling adjoint and the ReLU mask run once over the stack, the
+    kernel gradient and the input gradient per sample. An unstacked pass is
+    the one-sample case."""
     if len(forward.relu_masks) != len(params.layers):
         raise MismatchError(
             f"forward pass has {len(forward.relu_masks)} layers, params have {len(params.layers)}"
@@ -213,6 +236,14 @@ def encode_backward(
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.shape != forward.output.shape:
         raise MismatchError(f"upstream gradient shape {g.shape} != output shape {forward.output.shape}")
+    single = g.ndim == 3
+    if single:
+        g = g[None]
+        forward = ForwardPass(
+            forward.output[None],
+            tuple(x[None] for x in forward.inputs),
+            tuple(m[None] for m in forward.relu_masks),
+        )
     grads: list[LayerGradients | None] = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
@@ -221,13 +252,18 @@ def encode_backward(
             g = _downsample_backward(g, mask.shape)
         g = g * mask
         k = layer.kernel_size
-        windows = sliding_window_view(forward.inputs[i], (k, k), axis=(1, 2))
-        grads[i] = LayerGradients(np.tensordot(g, windows, axes=([1, 2], [1, 2])), g.sum(axis=(1, 2)))
+        kernel_grads = np.stack([
+            np.tensordot(gs, sliding_window_view(xs, (k, k), axis=(1, 2)), axes=([1, 2], [1, 2]))
+            for gs, xs in zip(g, forward.inputs[i])
+        ])
+        grads[i] = LayerGradients(kernel_grads, g.sum(axis=(2, 3)))
         if i > 0:  # the image needs no gradient
             # Full correlation with the flipped, channel-swapped kernel: the
             # transpose of the forward's valid correlation.
-            padded = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            g = _correlate(padded, layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            flipped = layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            g = np.stack([_correlate(np.pad(gs, ((0, 0), (k - 1, k - 1), (k - 1, k - 1))), flipped) for gs in g])
+    if single:
+        return [LayerGradients(lg.kernel[0], lg.bias[0]) for lg in grads]  # type: ignore[union-attr]
     return grads  # type: ignore[return-value]
 
 

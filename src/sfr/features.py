@@ -143,38 +143,41 @@ def usable_kernels(spec: PyramidSpec, height: int, width: int) -> tuple[int, ...
 
 def pool_columns(values: np.ndarray, spec: PyramidSpec) -> np.ndarray:
     """Sliding-average columns for each usable kernel, kernel-ascending then
-    row-major window order. Operates on a raw (C, H, W) float array."""
-    c, h, w = values.shape
+    row-major window order. Operates on a raw (C, H, W) float array, or on a
+    stack of them with leading axes, which gives each grid its own (C, N)
+    columns with the same bits as pooling it alone."""
+    *lead, c, h, w = values.shape
     fitting = usable_kernels(spec, h, w)
     if not fitting:
         raise ValueError(f"every kernel in {spec.kernel_sizes} exceeds min(H, W) = {min(h, w)}")
     blocks = []
     for k in fitting:
-        acc = np.zeros((c, h - k + 1, w - k + 1))
+        acc = np.zeros((*lead, c, h - k + 1, w - k + 1))
         for di in range(k):
             for dj in range(k):
-                acc += values[:, di:di + h - k + 1, dj:dj + w - k + 1]
-        acc = acc[:, ::spec.stride, ::spec.stride] / float(k * k)
-        blocks.append(acc.reshape(c, -1))
-    return np.concatenate(blocks, axis=1)
+                acc += values[..., di:di + h - k + 1, dj:dj + w - k + 1]
+        acc = acc[..., ::spec.stride, ::spec.stride] / float(k * k)
+        blocks.append(acc.reshape(*lead, c, -1))
+    return np.concatenate(blocks, axis=-1)
 
 
-def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, int, int], spec: PyramidSpec) -> np.ndarray:
+def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, ...], spec: PyramidSpec) -> np.ndarray:
     """The transpose of pool_columns: maps a (C, N) gradient on its columns
-    back onto the (C, H, W) grid they were pooled from."""
-    c, h, w = shape
+    back onto the (C, H, W) grid they were pooled from, or a stack of such
+    gradients onto the stack of grids of the given shape."""
+    h, w = shape[-2:]
     fitting = usable_kernels(spec, h, w)
     counts = [len(range(0, h - k + 1, spec.stride)) * len(range(0, w - k + 1, spec.stride)) for k in fitting]
-    if sum(counts) != dx.shape[1]:
-        raise MismatchError(f"spatial gradient has {dx.shape[1]} columns, pooling produced {sum(counts)}")
-    out = np.zeros((c, h, w))
-    for k, block in zip(fitting, np.split(dx, np.cumsum(counts)[:-1], axis=1)):
-        acc = np.zeros((c, h - k + 1, w - k + 1))
-        strided = acc[:, ::spec.stride, ::spec.stride]
+    if sum(counts) != dx.shape[-1]:
+        raise MismatchError(f"spatial gradient has {dx.shape[-1]} columns, pooling produced {sum(counts)}")
+    out = np.zeros(shape)
+    for k, block in zip(fitting, np.split(dx, np.cumsum(counts)[:-1], axis=-1)):
+        acc = np.zeros((*shape[:-2], h - k + 1, w - k + 1))
+        strided = acc[..., ::spec.stride, ::spec.stride]
         strided[...] = block.reshape(strided.shape) / float(k * k)
         for di in range(k):
             for dj in range(k):
-                out[:, di:di + h - k + 1, dj:dj + w - k + 1] += acc
+                out[..., di:di + h - k + 1, dj:dj + w - k + 1] += acc
     return out
 
 
@@ -188,17 +191,22 @@ def pyramid_pool(fmap: SpatialFeatureMap, spec: PyramidSpec = DEFAULT_PYRAMID) -
     return FeatureMatrix(pool_columns(fmap.values.astype(np.float64), spec))
 
 
+def unit_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (axis -2 indexes the feature dim) scaled to unit l2 norm, the
+    scales they were divided by, and the mask of zero columns, which keep
+    scale 1 and stay zero. Leading axes stack matrices that are scaled
+    independently, with the same bits as one at a time."""
+    norms = np.linalg.norm(columns, axis=-2)
+    zero = norms == 0.0
+    scales = np.where(zero, 1.0, norms)
+    return columns / scales[..., None, :], scales, zero
+
+
 def l2_normalize_columns(m: FeatureMatrix) -> FeatureMatrix:
     """Scale every nonzero column to unit l2 norm; zero columns stay zero and
     are reported through the degenerate_columns flag."""
-    norms = np.linalg.norm(m.columns, axis=0)
-    zero = norms == 0.0
-    scale = np.where(zero, 1.0, norms)
-    return FeatureMatrix(
-        m.columns / scale,
-        normalized=True,
-        degenerate_columns=tuple(int(i) for i in np.flatnonzero(zero)),
-    )
+    units, _, zero = unit_columns(m.columns)
+    return FeatureMatrix(units, normalized=True, degenerate_columns=tuple(int(i) for i in np.flatnonzero(zero)))
 
 
 def _pack_record(values: np.ndarray) -> bytes:

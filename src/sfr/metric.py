@@ -13,6 +13,9 @@ coordinates, chained through the frozen scales, plus the global Euclidean
 gradients, through the pooling layers into the encoder, and applies one SGD
 update. Each sample is encoded once per step: build_batch keeps its
 forward pass and column scales, and the step reads everything from the batch.
+The batch is encoded, pooled and backpropagated in groups of samples whose
+images share a shape, and the step solves for its coefficients with the
+factors that mining made.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from .features import (
     FeatureMatrix,
     GlobalFeature,
     PyramidSpec,
-    l2_normalize_columns,
     pool_columns,
     pool_columns_adjoint,
+    unit_columns,
 )
 from .reconstruction import (
     DictionaryFactor,
@@ -70,13 +73,15 @@ class BatchSample:
 class TripletBatch:
     """P identities x K images; every identity appears exactly K times. A
     batch encoded from images carries the encoder parameters and pyramid it
-    was encoded with."""
+    was encoded with and, per image shape, the positions of its samples and
+    their stacked forward pass."""
 
     subjects: int
     images_per_subject: int
     samples: tuple[BatchSample, ...]
     params: EncoderParams | None = None
     pyramid: PyramidSpec | None = None
+    groups: tuple[tuple[tuple[int, ...], ForwardPass], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -128,7 +133,7 @@ def combined_distance(a: BatchSample, b: BatchSample, beta: float) -> float:
     return euclidean_distance(a.global_feature, b.global_feature) + float(r)
 
 
-def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> np.ndarray:
+def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> tuple[np.ndarray, ReconstructionScorer]:
     # d[i, j] = combined distance of anchor i against dictionary j. It equals
     # combined_distance pair by pair, bit for bit: the global term is the
     # same expression, and the scorer's distance for a pair does not depend
@@ -142,15 +147,12 @@ def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> np.ndarray:
         [global_distances(s.global_feature.values, globals_) + scorer.distances(s.spatial) for s in samples]
     )
     np.fill_diagonal(d, 0.0)
-    return d
+    return d, scorer
 
 
-def batch_hard_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
-    """Per anchor: hardest positive (argmax combined distance over the same
-    identity, anchor excluded) and hardest negative (argmin over different
-    identities). Ties break to the lowest sample index."""
+def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], ReconstructionScorer]:
     samples = batch.samples
-    d = _combined_matrix(samples, beta)
+    d, scorer = _combined_matrix(samples, beta)
     labels = [s.label for s in samples]
     mined = []
     for a in range(len(samples)):
@@ -159,7 +161,20 @@ def batch_hard_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
         j_p = pos[int(np.argmax(d[a, pos]))]
         j_n = neg[int(np.argmin(d[a, neg]))]
         mined.append(MinedTriplet(a, j_p, j_n, float(d[a, j_p]), float(d[a, j_n])))
-    return mined
+    return mined, scorer
+
+
+def batch_hard_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
+    """Per anchor: hardest positive (argmax combined distance over the same
+    identity, anchor excluded) and hardest negative (argmin over different
+    identities). Ties break to the lowest sample index."""
+    return _mine(batch, beta)[0]
+
+
+def _check_margin(margin: float) -> None:
+    # A nan margin would pass a plain `margin < 0` test and clamp every hinge.
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
 
 
 def _loss_terms(mined: Iterable[MinedTriplet], margin: float) -> LossReport:
@@ -169,8 +184,7 @@ def _loss_terms(mined: Iterable[MinedTriplet], margin: float) -> LossReport:
 
 def sfr_triplet_loss(batch: TripletBatch, beta: float, margin: float) -> LossReport:
     """Sum over anchors of hinge(margin + hardest-positive - hardest-negative)."""
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    _check_margin(margin)
     return _loss_terms(batch_hard_mine(batch, beta), margin)
 
 
@@ -197,7 +211,39 @@ def sample_batch(
 
 
 def _pool_grid(grid: np.ndarray, pyramid: PyramidSpec) -> tuple[np.ndarray, np.ndarray]:
-    return grid.mean(axis=(1, 2)), pool_columns(grid, pyramid)
+    # The global mean and the pyramid columns of a grid or a stack of grids.
+    return grid.mean(axis=(-2, -1)), pool_columns(grid, pyramid)
+
+
+def _encode_shape_group(
+    labeled_images: Sequence[tuple[Hashable, ToyImage]],
+    params: EncoderParams,
+    pyramid: PyramidSpec,
+    normalize: bool,
+) -> tuple[list[BatchSample], ForwardPass]:
+    # Images of one shape as one stack: one forward, one global mean, one
+    # pool_columns and one column normalization, each of which gives every
+    # sample the bits it gets alone.
+    forward = encode_forward([img for _, img in labeled_images], params)
+    globals_, x_raw = _pool_grid(forward.output, pyramid)
+    if normalize:
+        # The scales unit_columns divides by; zero columns keep 1.
+        columns, scales, zero = unit_columns(x_raw)
+    else:
+        per_column = (len(x_raw), x_raw.shape[-1])
+        columns, scales, zero = x_raw, np.ones(per_column), np.zeros(per_column, dtype=bool)
+    samples = [
+        BatchSample(
+            label,
+            GlobalFeature(globals_[j]),
+            FeatureMatrix(columns[j], normalize, tuple(int(i) for i in np.flatnonzero(zero[j]))),
+            img,
+            forward.sample(j),
+            scales[j],
+        )
+        for j, (label, img) in enumerate(labeled_images)
+    ]
+    return samples, forward
 
 
 def encode_batch_sample(
@@ -208,16 +254,7 @@ def encode_batch_sample(
     pyramid: PyramidSpec = DEFAULT_PYRAMID,
     normalize: bool = True,
 ) -> BatchSample:
-    forward = encode_forward(image, params)
-    g, x_raw = _pool_grid(forward.output, pyramid)
-    spatial = FeatureMatrix(x_raw)
-    scales = np.ones(x_raw.shape[1])
-    if normalize:
-        spatial = l2_normalize_columns(spatial)
-        # The scales l2_normalize_columns divided by; zero columns keep 1.
-        norms = np.linalg.norm(x_raw, axis=0)
-        scales = np.where(norms == 0.0, 1.0, norms)
-    return BatchSample(label, GlobalFeature(g), spatial, image, forward, scales)
+    return _encode_shape_group([(label, image)], params, pyramid, normalize)[0][0]
 
 
 def build_batch(
@@ -227,16 +264,23 @@ def build_batch(
     pyramid: PyramidSpec = DEFAULT_PYRAMID,
     normalize: bool = True,
 ) -> TripletBatch:
-    """Encode a P x K image selection into a TripletBatch."""
+    """Encode a P x K image selection into a TripletBatch, one stack per
+    image shape."""
     counts = Counter(label for label, _ in labeled_images)
     k_values = set(counts.values())
     if len(k_values) != 1:
         raise ValueError(f"uneven images per identity: {dict(counts)}")
-    samples = tuple(
-        encode_batch_sample(label, img, params, pyramid=pyramid, normalize=normalize)
-        for label, img in labeled_images
-    )
-    return TripletBatch(len(counts), k_values.pop(), samples, params, pyramid)
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, img) in enumerate(labeled_images):
+        by_shape.setdefault(img.values.shape, []).append(i)
+    samples: list[BatchSample | None] = [None] * len(labeled_images)
+    groups = []
+    for positions in by_shape.values():
+        encoded, forward = _encode_shape_group([labeled_images[i] for i in positions], params, pyramid, normalize)
+        for i, sample in zip(positions, encoded):
+            samples[i] = sample
+        groups.append((tuple(positions), forward))
+    return TripletBatch(len(counts), k_values.pop(), tuple(samples), params, pyramid, tuple(groups))
 
 
 @dataclass(frozen=True)
@@ -253,11 +297,12 @@ class StepPlan:
 
 
 def _pool_backward(
-    grid_shape: tuple[int, int, int], dg: np.ndarray, dx: np.ndarray, pyramid: PyramidSpec
+    grid_shape: tuple[int, ...], dg: np.ndarray, dx: np.ndarray, pyramid: PyramidSpec
 ) -> np.ndarray:
-    # Adjoint of (global mean, pyramid columns) back onto the grid.
-    _, h, w = grid_shape
-    return (dg / float(h * w))[:, None, None] + pool_columns_adjoint(dx, grid_shape, pyramid)
+    # Adjoint of (global mean, pyramid columns) back onto the grid, or onto
+    # a stack of same-shape grids.
+    h, w = grid_shape[-2:]
+    return (dg / float(h * w))[..., None, None] + pool_columns_adjoint(dx, grid_shape, pyramid)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -272,13 +317,19 @@ def step_gradients(
     objective (see frozen_step_objective), from the batch's stored forward
     passes: no sample is encoded again."""
     samples = batch.samples
-    if batch.params is None or any(s.forward is None for s in samples):
+    if batch.params is None or not batch.groups:
         raise ValueError("training requires a batch that build_batch encoded from images")
-    mined = batch_hard_mine(batch, beta)
+    _check_margin(margin)
+    mined, scorer = _mine(batch, beta)
     report = _loss_terms(mined, margin)
     active = tuple(t > 0.0 for t in report.per_triplet_terms)
 
-    factors = [DictionaryFactor(s.spatial, beta) for s in samples]
+    # The factors mining made; a dual dictionary's is made on first use.
+    factors = list(scorer.factors)
+    for t in mined:
+        for j in (t.positive_idx, t.negative_idx):
+            if factors[j] is None:
+                factors[j] = DictionaryFactor(samples[j].spatial, beta)
     coeff_pos = tuple(factors[t.positive_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
     coeff_neg = tuple(factors[t.negative_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
     plan = StepPlan(tuple(mined), active, coeff_pos, coeff_neg, report)
@@ -306,14 +357,25 @@ def step_gradients(
     # Chain through the frozen scaling back onto the raw pyramid columns.
     dx = [g / s.column_scales for g, s in zip(dx, samples)]
 
+    # The pooling adjoint, the downsampling adjoint and the ReLU masks run
+    # once per image-shape group. The per-sample gradients are then summed
+    # in sample order: a per-group sum would round differently.
     params = batch.params
+    per_sample: list[list[LayerGradients]] = [[] for _ in samples]
+    for positions, forward in batch.groups:
+        grid_grad = _pool_backward(
+            forward.output.shape,
+            np.stack([dg[i] for i in positions]),
+            np.stack([dx[i] for i in positions]),
+            batch.pyramid,
+        )
+        for lg in encode_backward(forward, params, grid_grad):
+            for j, i in enumerate(positions):
+                per_sample[i].append(LayerGradients(lg.kernel[j], lg.bias[j]))
     kernel_acc = [np.zeros_like(l.kernel) for l in params.layers]
     bias_acc = [np.zeros_like(l.bias) for l in params.layers]
-    for s, dgs, dxs in zip(samples, dg, dx):
-        if not (dgs.any() or dxs.any()):
-            continue
-        grid_grad = _pool_backward(s.forward.output.shape, dgs, dxs, batch.pyramid)
-        for ka, ba, lg in zip(kernel_acc, bias_acc, encode_backward(s.forward, params, grid_grad)):
+    for sample_grads in per_sample:
+        for ka, ba, lg in zip(kernel_acc, bias_acc, sample_grads):
             ka += lg.kernel
             ba += lg.bias
     grads = [LayerGradients(k, b) for k, b in zip(kernel_acc, bias_acc)]

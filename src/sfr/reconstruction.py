@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import FactorizationError, MismatchError
 from .features import FeatureMatrix
@@ -50,22 +50,25 @@ class ReconstructionResult:
     distance: float
 
 
-def _cholesky(gram: np.ndarray, beta: float):
-    """Lower Cholesky factor of a regularized Gram matrix; a matrix that is
-    not positive definite raises FactorizationError with a condition
-    diagnostic."""
-    try:
-        factor = cho_factor(gram, lower=True)
-    except LinAlgError as exc:
+def _cholesky(gram: np.ndarray, beta: float) -> np.ndarray:
+    """Lower Cholesky factor of a regularized Gram matrix, from LAPACK potrf
+    with the arguments scipy's cho_factor passes (its upper triangle keeps
+    the Gram entries). A non-finite Gram matrix, as a non-finite beta makes,
+    raises ValueError; one that is not positive definite raises
+    FactorizationError with a condition diagnostic."""
+    if not np.isfinite(gram).all():
+        raise ValueError(f"gram matrix contains non-finite values (beta={beta})")
+    factor, info = lapack.dpotrf(gram, lower=1, clean=0)
+    if info > 0:
         cond = float(np.linalg.cond(gram))
         raise FactorizationError(
             f"gram matrix not positive definite (beta={beta}, cond~{cond:.3e}); "
             "use beta > 0 or a full-column-rank dictionary"
-        ) from exc
+        )
     if beta == 0.0:
         # potrf can sneak past an exactly singular matrix with a rounded
         # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams.
-        diag = np.abs(np.diag(factor[0]))
+        diag = np.abs(np.diag(factor))
         if diag.min() <= diag.max() * 1e-7:
             cond = float(np.linalg.cond(gram))
             raise FactorizationError(
@@ -91,13 +94,14 @@ class DictionaryFactor:
     def solve(self, x: FeatureMatrix) -> ReconstructionCoefficients:
         if x.dim != self.dictionary.dim:
             raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dictionary.dim}")
-        w = cho_solve(self._factor, self.dictionary.columns.T @ x.columns)
+        w, _ = lapack.dpotrs(self._factor, self.dictionary.columns.T @ x.columns, lower=1)
         return ReconstructionCoefficients(w, self.beta)
 
     def whitened_dictionary(self) -> np.ndarray:
         """B = Y L^{-T} (d x M) for Y^T Y + beta I = L L^T, so that the
         reconstruction Y W = Y (L L^T)^{-1} Y^T X is B B^T X."""
-        return solve_triangular(self._factor[0], self.dictionary.columns.T, lower=True).T
+        b_t, _ = lapack.dtrtrs(self._factor, self.dictionary.columns.T, lower=1)
+        return b_t.T
 
 
 def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarray:
@@ -106,7 +110,8 @@ def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarra
     transpose up to the rounding of the product."""
     y = dictionary.columns
     identity = np.eye(dictionary.dim)
-    a = beta * cho_solve(_cholesky(y @ y.T + beta * identity, beta), identity)
+    k_inv, _ = lapack.dpotrs(_cholesky(y @ y.T + beta * identity, beta), identity, lower=1)
+    a = beta * k_inv
     return 0.5 * (a + a.T)
 
 
@@ -125,7 +130,10 @@ class ReconstructionScorer:
       Gram matrix at beta = 0).
     A dictionary's slice goes through the same products whatever else is
     stacked with it, so a pair's distance does not depend, bit for bit, on
-    the other dictionaries in the scorer.
+    the other dictionaries in the scorer. `factors` keeps each primal
+    dictionary's DictionaryFactor (None for a dual one), so that a caller
+    solving for coefficients against the same dictionaries factors none
+    of them again.
     """
 
     def __init__(self, dictionaries: Sequence[FeatureMatrix], beta: float):
@@ -144,6 +152,7 @@ class ReconstructionScorer:
         # transposed, one row per probe column, so that each column norm
         # reduces a contiguous row.
         self._groups = []
+        factors: list[DictionaryFactor | None] = [None] * len(dictionaries)
         for count, positions in by_count.items():
             dual = beta > 0 and dim < count
             shape = (dim, dim) if dual else (dim, count)
@@ -152,8 +161,10 @@ class ReconstructionScorer:
                 if dual:
                     operators[k] = _dual_residual_operator(dictionaries[i], beta)
                 else:
-                    operators[k] = DictionaryFactor(dictionaries[i], beta).whitened_dictionary()
+                    factors[i] = DictionaryFactor(dictionaries[i], beta)
+                    operators[k] = factors[i].whitened_dictionary()
             self._groups.append((np.asarray(positions), dual, operators))
+        self.factors = tuple(factors)
 
     def distances(self, x: FeatureMatrix) -> np.ndarray:
         """Mean residual column norm of x against each dictionary."""

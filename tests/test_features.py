@@ -19,6 +19,7 @@ from sfr.features import (
     pyramid_pool,
     save_feature_map,
     save_pooled,
+    unit_columns,
 )
 
 
@@ -235,6 +236,28 @@ class TestPoolColumnsAdjoint:
         n = pool_columns(np.zeros((2, 5, 4)), spec).shape[1]
         with pytest.raises(MismatchError, match="columns"):
             pool_columns_adjoint(np.zeros((2, n + extra)), (2, 5, 4), spec)
+
+
+class TestStackedPooling:
+    # A leading sample axis pools, transposes and normalizes every grid of a
+    # stack with the bits it gets alone.
+    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 2, 9), stride=2)])
+    def test_stack_matches_each_grid_alone(self, spec):
+        rng = np.random.default_rng(21)
+        stack = rng.standard_normal((4, 3, 7, 5))
+        stack[2, :, :3, :3] = 0.0  # zero columns for the normalization
+        cols = pool_columns(stack, spec)
+        dx = rng.standard_normal(cols.shape)
+        grads = pool_columns_adjoint(dx, stack.shape, spec)
+        units, scales, zero = unit_columns(cols)
+        for j, grid in enumerate(stack):
+            np.testing.assert_array_equal(cols[j], pool_columns(grid, spec))
+            np.testing.assert_array_equal(grads[j], pool_columns_adjoint(dx[j], grid.shape, spec))
+            alone = l2_normalize_columns(FeatureMatrix(cols[j]))
+            np.testing.assert_array_equal(units[j], alone.columns)
+            assert tuple(np.flatnonzero(zero[j])) == alone.degenerate_columns
+            np.testing.assert_array_equal(scales[j], np.where(zero[j], 1.0, np.linalg.norm(cols[j], axis=0)))
+        assert zero[2].any()
 
 
 class TestNormalization:

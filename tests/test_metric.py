@@ -215,6 +215,13 @@ class TestTripletLoss:
         with pytest.raises(ValueError):
             sfr_triplet_loss(random_batch(rng, 2, 2, 3), BETA, -0.1)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        # a nan margin passes `margin < 0` and used to clamp every hinge
+        batch, _ = small_training_batch()
+        with pytest.raises(ValueError, match="margin"):
+            sfr_triplet_loss(batch, BETA, margin)
+
 
 class TestSampling:
     def test_without_replacement_when_enough(self):
@@ -280,6 +287,12 @@ class TestTrainingStep:
         batch = random_batch(rng, 2, 2, 3)
         with pytest.raises(ValueError, match="images"):
             training_step(batch, BETA, 0.3, 0.1)
+
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        batch, _ = small_training_batch()
+        with pytest.raises(ValueError, match="margin"):
+            training_step(batch, BETA, margin, 0.1)
 
     def test_non_finite_gradient_aborts(self, monkeypatch):
         import sfr.metric as metric_mod
@@ -349,6 +362,90 @@ class TestOneForwardPerStep:
         assert report.active_triplets > 0
         assert conv_calls == []
         assert len(factor_calls) <= samples
+
+
+class TestOneFactorizationPerSample:
+    def test_step_solves_with_the_factors_mining_made(self, monkeypatch):
+        from sfr.reconstruction import DictionaryFactor
+
+        made = []
+        real_init = DictionaryFactor.__init__
+
+        def counting_init(self, *args):
+            made.append(True)
+            real_init(self, *args)
+
+        # 32 channels above at most 26 pyramid columns: every dictionary is
+        # factored in the primal form, so mining factors all of them.
+        pools = make_identity_pools(
+            4, 3, seed=9, base_shape=(16, 12), cells=(4, 3), noise=0.01, jitter=0.3, min_crop=(14, 11)
+        )
+        params = init_params(((32, 1, 7, True),), 9)
+        picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs[:2]]
+        batch = build_batch(picks, params)
+        assert all(s.spatial.dim > s.spatial.count for s in batch.samples)
+        monkeypatch.setattr(DictionaryFactor, "__init__", counting_init)
+        _, report = training_step(batch, BETA, 0.3, 1e-3)
+        assert report.active_triplets > 0
+        assert len(made) == len(batch.samples)
+
+
+class TestShapeGroupsKeepTheBits:
+    # build_batch encodes, pools and normalizes each image shape as one
+    # stack, and the step backpropagates each stack at once; both must give
+    # the bits of the one-sample path.
+    @pytest.mark.parametrize(
+        "normalize, pyramid",
+        [(True, PyramidSpec()), (False, PyramidSpec((1, 2, 8), stride=2))],
+        ids=["normalized-default", "raw-stride2-skipped-kernel"],
+    )
+    def test_batch_and_gradients_match_the_one_sample_path(self, monkeypatch, normalize, pyramid):
+        import sfr.metric as metric_mod
+        from sfr.encoder import encode_backward
+
+        pools = make_identity_pools(3, 4, seed=8, base_shape=(16, 12), cells=(4, 3), min_crop=(14, 11))
+        params = init_params(((4, 1, 3, True), (6, 4, 3, False)), 8)
+        picks = [(label, img) for label, imgs in sorted(pools.items()) for img in imgs]
+        batch = build_batch(picks, params, pyramid=pyramid, normalize=normalize)
+        assert len({s.image.values.shape for s in batch.samples}) >= 3
+        assert any(len(positions) > 1 for positions, _ in batch.groups)
+        alone = [
+            encode_batch_sample(s.label, s.image, params, pyramid=pyramid, normalize=normalize)
+            for s in batch.samples
+        ]
+        for s, a in zip(batch.samples, alone):
+            np.testing.assert_array_equal(s.forward.output, a.forward.output)
+            for x, y in zip(s.forward.inputs + s.forward.relu_masks, a.forward.inputs + a.forward.relu_masks):
+                np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(s.global_feature.values, a.global_feature.values)
+            np.testing.assert_array_equal(s.spatial.columns, a.spatial.columns)
+            np.testing.assert_array_equal(s.column_scales, a.column_scales)
+            assert s.spatial.degenerate_columns == a.spatial.degenerate_columns
+
+        real_pool_backward = metric_mod._pool_backward
+        upstream = []
+
+        def recording(grid_shape, dg, dx, pyr):
+            upstream.append((dg, dx))
+            return real_pool_backward(grid_shape, dg, dx, pyr)
+
+        monkeypatch.setattr(metric_mod, "_pool_backward", recording)
+        grads, plan = step_gradients(batch, BETA, 0.3)
+        assert plan.report.active_triplets > 0
+        per_sample = {}
+        for (positions, _), (dg, dx) in zip(batch.groups, upstream, strict=True):
+            for j, i in enumerate(positions):
+                per_sample[i] = (dg[j], dx[j])
+        kernels = [np.zeros_like(l.kernel) for l in params.layers]
+        biases = [np.zeros_like(l.bias) for l in params.layers]
+        for i, a in enumerate(alone):
+            grid_grad = real_pool_backward(a.forward.output.shape, *per_sample[i], pyramid)
+            for k, b, lg in zip(kernels, biases, encode_backward(a.forward, params, grid_grad)):
+                k += lg.kernel
+                b += lg.bias
+        for g, k, b in zip(grads, kernels, biases):
+            np.testing.assert_array_equal(g.kernel, k)
+            np.testing.assert_array_equal(g.bias, b)
 
 
 class TestOracleCheckedGradient:

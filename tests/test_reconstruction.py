@@ -298,3 +298,48 @@ class TestReconstructionScorer:
         scorer = ReconstructionScorer([fm(rng.standard_normal((3, 2)))], 0.1)
         with pytest.raises(MismatchError):
             scorer.distances(fm(rng.standard_normal((4, 2))))
+
+
+class TestDirectLapack:
+    # DictionaryFactor, whitened_dictionary and the dual operator call LAPACK
+    # potrf/potrs/trtrs directly; they must give the bits of scipy's
+    # cho_factor, cho_solve and solve_triangular, which call the same routines.
+    def test_same_bits_as_the_scipy_wrappers(self):
+        from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
+        from sfr.reconstruction import DictionaryFactor, _dual_residual_operator
+
+        rng = np.random.default_rng(17)
+        beta = 1e-3
+        for d in range(1, 70):
+            for m in range(1, 30):
+                y = fm(rng.standard_normal((d, m)))
+                x = fm(rng.standard_normal((d, 3)))
+                yc = y.columns
+                factor = DictionaryFactor(y, beta)
+                ref = cho_factor(yc.T @ yc + beta * np.eye(m), lower=True)
+                np.testing.assert_array_equal(factor.solve(x).matrix, cho_solve(ref, yc.T @ x.columns))
+                np.testing.assert_array_equal(
+                    factor.whitened_dictionary(), solve_triangular(ref[0], yc.T, lower=True).T
+                )
+                identity = np.eye(d)
+                a = beta * cho_solve(cho_factor(yc @ yc.T + beta * identity, lower=True), identity)
+                np.testing.assert_array_equal(_dual_residual_operator(y, beta), 0.5 * (a + a.T))
+
+    def test_not_positive_definite_raises_with_condition(self):
+        # rank-1 Y: potrf meets a zero pivot, FactorizationError (CLI exit 3)
+        y = fm([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(FactorizationError, match=r"not positive definite.*cond~"):
+            solve_coefficients(fm([[1.0], [0.0]]), y, 0.0)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("d, m", [(4, 9), (9, 4)])
+    def test_non_finite_beta_raises_value_error(self, beta, d, m):
+        # both the dual (d < M) and the primal route reject it (CLI exit 2)
+        rng = np.random.default_rng(18)
+        y = fm(rng.standard_normal((d, m)))
+        with np.errstate(invalid="ignore"):  # inf * 0 off the Gram diagonal
+            with pytest.raises(ValueError, match="non-finite"):
+                ReconstructionScorer([y], beta)
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_coefficients(fm(rng.standard_normal((d, 2))), y, beta)
