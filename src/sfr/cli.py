@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -25,20 +26,12 @@ import numpy as np
 
 from .encoder import encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import (
-    PyramidSpec,
-    global_average_pool,
-    l2_normalize_columns,
-    load_feature_map,
-    pyramid_pool,
-    save_pooled,
-)
+from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
     GalleryEntry,
     RetrievalRanking,
-    ScoredEntry,
     build_gallery,
     evaluate,
     load_manifest,
@@ -167,79 +160,94 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-def _pooled_entry(entry_id: str, subject_id: str, fmap, cfg: RunConfig) -> GalleryEntry:
-    """A gallery entry or probe from one feature map: its global average and
-    its pyramid-pooled columns, normalized when cfg says so."""
-    matrix = pyramid_pool(fmap, cfg.pyramid())
-    if cfg.normalize:
-        matrix = l2_normalize_columns(matrix)
-    return GalleryEntry(entry_id, subject_id, global_average_pool(fmap), matrix)
+def _pooled_entries(labels, fmaps, cfg: RunConfig) -> list[GalleryEntry]:
+    """Gallery entries or probes from (entry id, subject id) labels and their
+    feature maps: each map's global average and its pyramid-pooled columns,
+    normalized when cfg says so, pooled per map shape."""
+    pooled = pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)
+    return [GalleryEntry(eid, sid, g, m) for (eid, sid), (g, m) in zip(labels, pooled)]
 
 
-def _load_entry(manifest_entry, cfg: RunConfig, base: Path) -> GalleryEntry:
-    path = Path(manifest_entry.path)
-    if not path.is_absolute():
-        path = base / path
-    return _pooled_entry(manifest_entry.entry_id, manifest_entry.subject_id, load_feature_map(path), cfg)
+def _load_entries(manifest, manifest_path, cfg: RunConfig) -> list[GalleryEntry]:
+    # A relative map path is relative to the manifest; an absolute one replaces the base.
+    base = Path(manifest_path).resolve().parent
+    fmaps = [load_feature_map(base / m.path) for m in manifest]
+    return _pooled_entries([(m.entry_id, m.subject_id) for m in manifest], fmaps, cfg)
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
-    entry = _pooled_entry("", "", load_feature_map(args.input), cfg)
+    (entry,) = _pooled_entries([("", "")], [load_feature_map(args.input)], cfg)
     save_pooled(args.out, entry.spatial, entry.global_feature)
     print(f"{entry.spatial.count} columns")
     return 0
 
 
+_RANKINGS_HEADER = ["probeId", "rank", "entryId", "d", "r", "s"]
+_RANKINGS_ROW = "%s,%d,%s,%.17g,%.17g,%.17g\n"
+
+
 def _write_rankings_csv(path, rankings) -> None:
+    """One CSV row per (probe, rank): the floats as `.17g`, which round-trips
+    every float64. Each probe's rows are formatted from its columns and
+    written in one call."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("probeId,rank,entryId,d,r,s\n")
+        fh.write(",".join(_RANKINGS_HEADER) + "\n")
         for ranking in rankings:
-            for rank, s in enumerate(ranking.scored, start=1):
-                fh.write(
-                    f"{ranking.probe_id},{rank},{s.entry_id},"
-                    f"{s.global_dist:.17g},{s.sfr_dist:.17g},{s.fused:.17g}\n"
-                )
+            n = len(ranking.entry_ids)
+            rows = zip(
+                itertools.repeat(ranking.probe_id, n),
+                range(1, n + 1),
+                ranking.entry_ids,
+                ranking.global_dist.tolist(),
+                ranking.sfr_dist.tolist(),
+                ranking.fused.tolist(),
+            )
+            fh.write((_RANKINGS_ROW * n) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _read_rankings_csv(path) -> list[RetrievalRanking]:
-    grouped: dict[str, list[ScoredEntry]] = {}
+    """Rankings from a CSV that `_write_rankings_csv` wrote: ranks 1..N per
+    probe with finite scores; s may not decrease with rank (exit 3)."""
+    grouped: dict[str, tuple[list[str], list[float], list[float], list[float]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != ["probeId", "rank", "entryId", "d", "r", "s"]:
+        if reader.fieldnames != _RANKINGS_HEADER:
             raise FormatError(f"{path}: unexpected header {reader.fieldnames}")
         for row in reader:
             try:
-                rows = grouped.setdefault(row["probeId"], [])
-                if int(row["rank"]) != len(rows) + 1:
+                ids, d, r, s = grouped.setdefault(row["probeId"], ([], [], [], []))
+                if int(row["rank"]) != len(ids) + 1:
                     raise FormatError(f"{path}: ranks for probe {row['probeId']} not contiguous")
-                rows.append(
-                    ScoredEntry(row["entryId"], float(row["d"]), float(row["r"]), float(row["s"]))
-                )
+                scores = float(row["d"]), float(row["r"]), float(row["s"])
             except (KeyError, ValueError, TypeError) as exc:
                 if isinstance(exc, FormatError):
                     raise
                 raise FormatError(f"{path}: bad row {row}: {exc}") from exc
+            if not all(map(math.isfinite, scores)):
+                raise FormatError(f"{path}: non-finite score in row {row}")
+            if s and scores[2] < s[-1]:
+                raise MismatchError(f"{path}: probe {row['probeId']}: s decreases at rank {row['rank']}")
+            ids.append(row["entryId"])
+            d.append(scores[0])
+            r.append(scores[1])
+            s.append(scores[2])
     if not grouped:
         raise FormatError(f"{path}: no ranking rows")
-    return [RetrievalRanking(pid, tuple(scored)) for pid, scored in grouped.items()]
+    return [RetrievalRanking(pid, *columns) for pid, columns in grouped.items()]
 
 
 def cmd_match(args, cfg: RunConfig) -> int:
     gallery_manifest = load_manifest(args.gallery)
     probe_manifest = load_manifest(args.probes)
-    gallery_base = Path(args.gallery).resolve().parent
-    probe_base = Path(args.probes).resolve().parent
-    gallery = build_gallery(
-        [_load_entry(m, cfg, gallery_base) for m in gallery_manifest], cfg.alpha, cfg.beta
-    )
-    probes = [(m.entry_id, _load_entry(m, cfg, probe_base)) for m in probe_manifest]
+    gallery = build_gallery(_load_entries(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
+    probes = _load_entries(probe_manifest, args.probes, cfg)
 
-    rankings = [match_probe((e.global_feature, e.spatial), gallery, probe_id) for probe_id, e in probes]
+    rankings = [match_probe((e.global_feature, e.spatial), gallery, e.entry_id) for e in probes]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_rankings_csv(out / "rankings.csv", rankings)
-    truth = {m.entry_id: m.subject_id for m in probe_manifest}
+    truth = {e.entry_id: e.subject_id for e in probes}
     write_summary_json(out / "summary.json", evaluate(rankings, truth, gallery))
     return 0
 
@@ -258,19 +266,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
-    gallery_entries = [
-        _pooled_entry(f"g{label}_{i}", str(label), encode(img, params), cfg)
-        for label, imgs in sorted(gallery_pool.items())
-        for i, img in enumerate(imgs)
-    ]
-    gallery = build_gallery(gallery_entries, cfg.alpha, cfg.beta)
-    rankings, truth = [], {}
-    for label, imgs in sorted(probe_pool.items()):
-        for i, img in enumerate(imgs):
-            e = _pooled_entry(f"p{label}_{i}", str(label), encode(img, params), cfg)
-            truth[e.entry_id] = str(label)
-            rankings.append(match_probe((e.global_feature, e.spatial), gallery, e.entry_id))
-    return evaluate(rankings, truth, gallery).rank_k(1)
+    def pooled(pool, prefix):
+        views = [(label, i, img) for label, imgs in sorted(pool.items()) for i, img in enumerate(imgs)]
+        labels = [(f"{prefix}{label}_{i}", str(label)) for label, i, _ in views]
+        return _pooled_entries(labels, [encode(img, params) for _, _, img in views], cfg)
+
+    gallery = build_gallery(pooled(gallery_pool, "g"), cfg.alpha, cfg.beta)
+    probes = pooled(probe_pool, "p")
+    rankings = [match_probe((e.global_feature, e.spatial), gallery, e.entry_id) for e in probes]
+    return evaluate(rankings, {e.entry_id: e.subject_id for e in probes}, gallery).rank_k(1)
 
 
 def cmd_train_demo(args, cfg: RunConfig) -> int:

@@ -252,10 +252,10 @@ def encode_backward(
             g = _downsample_backward(g, mask.shape)
         g = g * mask
         k = layer.kernel_size
-        kernel_grads = np.stack([
-            np.tensordot(gs, sliding_window_view(xs, (k, k), axis=(1, 2)), axes=([1, 2], [1, 2]))
-            for gs, xs in zip(g, forward.inputs[i])
-        ])
+        kernel_grads = np.empty((len(g), *layer.kernel.shape))
+        for j, (gs, xs) in enumerate(zip(g, forward.inputs[i])):
+            windows = sliding_window_view(xs, (k, k), axis=(1, 2))
+            kernel_grads[j] = np.tensordot(gs, windows, axes=([1, 2], [1, 2]))
         grads[i] = LayerGradients(kernel_grads, g.sum(axis=(2, 3)))
         if i > 0:  # the image needs no gradient
             # Full correlation with the flipped, channel-swapped kernel: the

@@ -8,8 +8,10 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -207,6 +209,42 @@ def l2_normalize_columns(m: FeatureMatrix) -> FeatureMatrix:
     are reported through the degenerate_columns flag."""
     units, _, zero = unit_columns(m.columns)
     return FeatureMatrix(units, normalized=True, degenerate_columns=tuple(int(i) for i in np.flatnonzero(zero)))
+
+
+# A pooling chunk holds at most this many maps and, past one map, at most
+# this many values, so that a long manifest of large maps is never stacked
+# whole.
+_CHUNK_MAPS = 32
+_CHUNK_VALUES = 1 << 16
+
+
+def pool_feature_maps(
+    fmaps: Sequence[SpatialFeatureMap], spec: PyramidSpec = DEFAULT_PYRAMID, normalize: bool = True
+) -> list[tuple[GlobalFeature, FeatureMatrix]]:
+    """Each map's global average and pyramid columns, normalized when asked,
+    in the order given. Maps of one shape are pooled in bounded chunks: one
+    stack, one global mean, one pool_columns and one unit_columns per chunk,
+    which give every map the bits of global_average_pool, pyramid_pool and
+    l2_normalize_columns on it alone."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, fmap in enumerate(fmaps):
+        by_shape.setdefault(fmap.values.shape, []).append(i)
+    pooled: list = [None] * len(fmaps)
+    for shape, positions in by_shape.items():
+        size = max(1, min(_CHUNK_MAPS, _CHUNK_VALUES // math.prod(shape)))
+        for start in range(0, len(positions), size):
+            chunk = positions[start:start + size]
+            stack = np.stack([fmaps[i].values for i in chunk])
+            globals_ = stack.mean(axis=(-2, -1), dtype=np.float64)
+            columns = pool_columns(stack.astype(np.float64), spec)
+            if normalize:
+                columns, _, zero = unit_columns(columns)
+            else:
+                zero = np.zeros(columns.shape[::2], dtype=bool)  # (maps, columns)
+            for j, i in enumerate(chunk):
+                degenerate = tuple(np.flatnonzero(zero[j]).tolist())
+                pooled[i] = (GlobalFeature(globals_[j]), FeatureMatrix(columns[j], normalize, degenerate))
+    return pooled
 
 
 def _pack_record(values: np.ndarray) -> bytes:

@@ -35,10 +35,34 @@ class ScoredEntry:
     fused: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetrievalRanking:
+    """One probe's ranking as columns in rank order (ascending fused score):
+    the entry ids and, per entry, the global distance d, the reconstruction
+    distance r and the fused score s."""
+
     probe_id: str
-    scored: tuple[ScoredEntry, ...]  # ascending by fused score
+    entry_ids: tuple[str, ...]
+    global_dist: np.ndarray
+    sfr_dist: np.ndarray
+    fused: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entry_ids", tuple(self.entry_ids))
+        n = len(self.entry_ids)
+        for name in ("global_dist", "sfr_dist", "fused"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            if column.shape != (n,):
+                raise ValueError(f"{name} has shape {column.shape}, want ({n},) for {n} entries")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def scored(self) -> tuple[ScoredEntry, ...]:
+        """The ranking as one ScoredEntry per row (derived, read-only)."""
+        return tuple(
+            map(ScoredEntry, self.entry_ids, self.global_dist.tolist(), self.sfr_dist.tolist(), self.fused.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -70,6 +94,7 @@ class GalleryIndex:
             if e.global_feature.dim != dim or e.spatial.dim != dim:
                 raise MismatchError(f"entry {e.entry_id}: feature dim differs from gallery dim {dim}")
         self.entries = entries
+        self.entry_ids = tuple(ids)
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.dim = dim
@@ -94,17 +119,14 @@ def match_probe(
     r = gallery._scorer.distances(probe_spatial)
     fused = gallery.alpha * d + (1.0 - gallery.alpha) * r
     order = np.argsort(fused, kind="stable")
-    scored = tuple(
-        ScoredEntry(gallery.entries[i].entry_id, *values)
-        for i, *values in zip(order.tolist(), d[order].tolist(), r[order].tolist(), fused[order].tolist())
-    )
-    return RetrievalRanking(probe_id, scored)
+    ids = tuple(map(gallery.entry_ids.__getitem__, order.tolist()))
+    return RetrievalRanking(probe_id, ids, d[order], r[order], fused[order])
 
 
 def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str]) -> None:
     # Every gallery entry exactly once: a ranking that lists one entry twice
     # in place of another would otherwise score as a complete one.
-    ids = [s.entry_id for s in ranking.scored]
+    ids = ranking.entry_ids
     listed = set(ids)
     if len(ids) != len(subject_of) or listed != subject_of.keys():
         raise MismatchError(
@@ -112,13 +134,6 @@ def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str])
             f"for {len(subject_of)} gallery entries (unknown: {sorted(listed - subject_of.keys())}, "
             f"missing: {sorted(subject_of.keys() - listed)})"
         )
-
-
-def _best_match_rank(ranking: RetrievalRanking, subject: str, subject_of: dict[str, str]) -> int:
-    for pos, s in enumerate(ranking.scored, start=1):
-        if subject_of[s.entry_id] == subject:
-            return pos
-    raise MismatchError(f"probe {ranking.probe_id}: no gallery entry for subject {subject}")
 
 
 def evaluate(rankings, truth: dict[str, str], gallery) -> EvalReport:
@@ -141,10 +156,12 @@ def evaluate(rankings, truth: dict[str, str], gallery) -> EvalReport:
             raise MismatchError(f"unknown probe id {ranking.probe_id!r}")
         _check_ranked_entries(ranking, subject_of)
         subject = truth[ranking.probe_id]
-        hits[_best_match_rank(ranking, subject, subject_of) - 1] += 1
         match_positions = [
-            pos for pos, s in enumerate(ranking.scored, start=1) if subject_of[s.entry_id] == subject
+            pos for pos, entry_id in enumerate(ranking.entry_ids, start=1) if subject_of[entry_id] == subject
         ]
+        if not match_positions:
+            raise MismatchError(f"probe {ranking.probe_id}: no gallery entry for subject {subject}")
+        hits[match_positions[0] - 1] += 1
         aps.append(
             float(np.mean([(k + 1) / pos for k, pos in enumerate(match_positions)]))
         )

@@ -35,7 +35,6 @@ from sfr.retrieval import (
     GalleryEntry,
     ManifestEntry,
     RetrievalRanking,
-    ScoredEntry,
     build_gallery,
     evaluate,
     match_probe,
@@ -54,9 +53,8 @@ def fm(rng, d, n):
 
 
 def fake_ranking(probe_id, order):
-    return RetrievalRanking(
-        probe_id, tuple(ScoredEntry(e, 0.0, 0.0, float(i)) for i, e in enumerate(order))
-    )
+    n = len(order)
+    return RetrievalRanking(probe_id, tuple(order), np.zeros(n), np.zeros(n), np.arange(n, dtype=float))
 
 
 def test_criterion_1_ridge_correctness():

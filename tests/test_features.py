@@ -16,6 +16,7 @@ from sfr.features import (
     load_pooled,
     pool_columns,
     pool_columns_adjoint,
+    pool_feature_maps,
     pyramid_pool,
     save_feature_map,
     save_pooled,
@@ -258,6 +259,36 @@ class TestStackedPooling:
             assert tuple(np.flatnonzero(zero[j])) == alone.degenerate_columns
             np.testing.assert_array_equal(scales[j], np.where(zero[j], 1.0, np.linalg.norm(cols[j], axis=0)))
         assert zero[2].any()
+
+
+class TestPoolFeatureMaps:
+    # Maps grouped by shape and pooled in chunks come back in the order
+    # given, each with the bits of pooling and normalizing it alone.
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 3), stride=2)])
+    def test_each_map_has_the_bits_of_pooling_it_alone(self, spec, normalize):
+        rng = np.random.default_rng(31)
+        shapes = [(5, 4, 3), (5, 6, 6), (5, 4, 3), (5, 2, 7), (5, 6, 6), (5, 1, 1)]
+        maps = []
+        for i in range(75):  # more maps of one shape than a chunk holds
+            values = rng.gamma(2.0, 0.5, size=shapes[i % len(shapes)]).astype(np.float32)
+            if i % 7 == 0:
+                values[:, :2, :2] = 0.0  # zero columns
+            maps.append(SpatialFeatureMap(values))
+        maps.append(SpatialFeatureMap(rng.standard_normal((3, 100, 90)).astype(np.float32)))  # H*W > 8192
+        pooled = pool_feature_maps(maps, spec, normalize)
+        assert len(pooled) == len(maps)
+        degenerate = 0
+        for fmap, (gap, matrix) in zip(maps, pooled):
+            alone = pyramid_pool(fmap, spec)
+            if normalize:
+                alone = l2_normalize_columns(alone)
+            np.testing.assert_array_equal(gap.values, global_average_pool(fmap).values)
+            np.testing.assert_array_equal(matrix.columns, alone.columns)
+            assert matrix.degenerate_columns == alone.degenerate_columns
+            assert matrix.normalized == normalize
+            degenerate += len(matrix.degenerate_columns)
+        assert (degenerate > 0) == normalize
 
 
 class TestNormalization:

@@ -10,7 +10,6 @@ from sfr.reconstruction import sfr_distance
 from sfr.retrieval import (
     GalleryEntry,
     RetrievalRanking,
-    ScoredEntry,
     build_gallery,
     evaluate,
     load_manifest,
@@ -39,7 +38,8 @@ def random_gallery(rng, n, alpha=0.7, dim=6):
 
 
 def fake_ranking(probe_id, order):
-    return RetrievalRanking(probe_id, tuple(ScoredEntry(e, 0.0, 0.0, float(i)) for i, e in enumerate(order)))
+    n = len(order)
+    return RetrievalRanking(probe_id, tuple(order), np.zeros(n), np.zeros(n), np.arange(n, dtype=float))
 
 
 class TestBuildGallery:
