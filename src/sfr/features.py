@@ -8,7 +8,6 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -211,39 +210,55 @@ def l2_normalize_columns(m: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(units, normalized=True, degenerate_columns=tuple(int(i) for i in np.flatnonzero(zero)))
 
 
-# A pooling chunk holds at most this many maps and, past one map, at most
-# this many values, so that a long manifest of large maps is never stacked
-# whole.
+def group_by_shape(arrays: Sequence[np.ndarray]) -> dict[tuple[int, ...], list[int]]:
+    """The positions of the given arrays, grouped by array shape in order of
+    first appearance."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, values in enumerate(arrays):
+        by_shape.setdefault(values.shape, []).append(i)
+    return by_shape
+
+
+def pool_stack(
+    stack: np.ndarray, spec: PyramidSpec = DEFAULT_PYRAMID, normalize: bool = True
+) -> tuple[list[tuple[GlobalFeature, FeatureMatrix]], np.ndarray]:
+    """Each map's global average and pyramid columns, normalized when asked,
+    from a (maps, C, H, W) stack, and the (maps, columns) scales its columns
+    were divided by (ones when not normalizing). One global mean, one
+    pool_columns and one unit_columns give every map the bits of
+    global_average_pool, pyramid_pool and l2_normalize_columns on it alone."""
+    globals_ = stack.mean(axis=(-2, -1), dtype=np.float64)
+    columns = pool_columns(stack.astype(np.float64, copy=False), spec)
+    if normalize:
+        columns, scales, zero = unit_columns(columns)
+        degenerate = [tuple(np.flatnonzero(z).tolist()) for z in zero]
+    else:
+        scales = np.ones(columns.shape[::2])
+        degenerate = [()] * len(stack)
+    pooled = [
+        (GlobalFeature(g), FeatureMatrix(c, normalize, d)) for g, c, d in zip(globals_, columns, degenerate)
+    ]
+    return pooled, scales
+
+
+# Maps of one shape are pooled in chunks of at most this many, so that a long
+# manifest is never stacked whole.
 _CHUNK_MAPS = 32
-_CHUNK_VALUES = 1 << 16
 
 
 def pool_feature_maps(
     fmaps: Sequence[SpatialFeatureMap], spec: PyramidSpec = DEFAULT_PYRAMID, normalize: bool = True
 ) -> list[tuple[GlobalFeature, FeatureMatrix]]:
     """Each map's global average and pyramid columns, normalized when asked,
-    in the order given. Maps of one shape are pooled in bounded chunks: one
-    stack, one global mean, one pool_columns and one unit_columns per chunk,
-    which give every map the bits of global_average_pool, pyramid_pool and
-    l2_normalize_columns on it alone."""
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, fmap in enumerate(fmaps):
-        by_shape.setdefault(fmap.values.shape, []).append(i)
+    in the order given. Maps of one shape go through pool_stack in chunks of
+    at most _CHUNK_MAPS maps."""
     pooled: list = [None] * len(fmaps)
-    for shape, positions in by_shape.items():
-        size = max(1, min(_CHUNK_MAPS, _CHUNK_VALUES // math.prod(shape)))
-        for start in range(0, len(positions), size):
-            chunk = positions[start:start + size]
-            stack = np.stack([fmaps[i].values for i in chunk])
-            globals_ = stack.mean(axis=(-2, -1), dtype=np.float64)
-            columns = pool_columns(stack.astype(np.float64), spec)
-            if normalize:
-                columns, _, zero = unit_columns(columns)
-            else:
-                zero = np.zeros(columns.shape[::2], dtype=bool)  # (maps, columns)
-            for j, i in enumerate(chunk):
-                degenerate = tuple(np.flatnonzero(zero[j]).tolist())
-                pooled[i] = (GlobalFeature(globals_[j]), FeatureMatrix(columns[j], normalize, degenerate))
+    for positions in group_by_shape([fmap.values for fmap in fmaps]).values():
+        for start in range(0, len(positions), _CHUNK_MAPS):
+            chunk = positions[start:start + _CHUNK_MAPS]
+            features, _ = pool_stack(np.stack([fmaps[i].values for i in chunk]), spec, normalize)
+            for i, feature in zip(chunk, features):
+                pooled[i] = feature
     return pooled
 
 

@@ -42,9 +42,10 @@ from .features import (
     FeatureMatrix,
     GlobalFeature,
     PyramidSpec,
+    group_by_shape,
     pool_columns,
     pool_columns_adjoint,
-    unit_columns,
+    pool_stack,
 )
 from .reconstruction import (
     DictionaryFactor,
@@ -221,27 +222,13 @@ def _encode_shape_group(
     pyramid: PyramidSpec,
     normalize: bool,
 ) -> tuple[list[BatchSample], ForwardPass]:
-    # Images of one shape as one stack: one forward, one global mean, one
-    # pool_columns and one column normalization, each of which gives every
-    # sample the bits it gets alone.
+    # Images of one shape as one stack: one forward and one pool_stack, each
+    # of which gives every sample the bits it gets alone.
     forward = encode_forward([img for _, img in labeled_images], params)
-    globals_, x_raw = _pool_grid(forward.output, pyramid)
-    if normalize:
-        # The scales unit_columns divides by; zero columns keep 1.
-        columns, scales, zero = unit_columns(x_raw)
-    else:
-        per_column = (len(x_raw), x_raw.shape[-1])
-        columns, scales, zero = x_raw, np.ones(per_column), np.zeros(per_column, dtype=bool)
+    pooled, scales = pool_stack(forward.output, pyramid, normalize)
     samples = [
-        BatchSample(
-            label,
-            GlobalFeature(globals_[j]),
-            FeatureMatrix(columns[j], normalize, tuple(int(i) for i in np.flatnonzero(zero[j]))),
-            img,
-            forward.sample(j),
-            scales[j],
-        )
-        for j, (label, img) in enumerate(labeled_images)
+        BatchSample(label, gap, spatial, img, forward.sample(j), scales[j])
+        for j, ((label, img), (gap, spatial)) in enumerate(zip(labeled_images, pooled))
     ]
     return samples, forward
 
@@ -270,12 +257,9 @@ def build_batch(
     k_values = set(counts.values())
     if len(k_values) != 1:
         raise ValueError(f"uneven images per identity: {dict(counts)}")
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, img) in enumerate(labeled_images):
-        by_shape.setdefault(img.values.shape, []).append(i)
     samples: list[BatchSample | None] = [None] * len(labeled_images)
     groups = []
-    for positions in by_shape.values():
+    for positions in group_by_shape([img.values for _, img in labeled_images]).values():
         encoded, forward = _encode_shape_group([labeled_images[i] for i in positions], params, pyramid, normalize)
         for i, sample in zip(positions, encoded):
             samples[i] = sample

@@ -275,7 +275,8 @@ class TestPoolFeatureMaps:
             if i % 7 == 0:
                 values[:, :2, :2] = 0.0  # zero columns
             maps.append(SpatialFeatureMap(values))
-        maps.append(SpatialFeatureMap(rng.standard_normal((3, 100, 90)).astype(np.float32)))  # H*W > 8192
+        for i in (3, 40, 75):  # a stack of three maps with H*W > 8192
+            maps.insert(i, SpatialFeatureMap(rng.standard_normal((3, 100, 90)).astype(np.float32)))
         pooled = pool_feature_maps(maps, spec, normalize)
         assert len(pooled) == len(maps)
         degenerate = 0
