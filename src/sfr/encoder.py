@@ -2,11 +2,11 @@
 
 Convolutions use valid padding, so arbitrary-size inputs produce
 correspondingly-sized feature grids instead of being forced to a fixed shape.
-The float64 forward (encode_forward, or encode_raw for its output alone) is
-what training and gradient checks use; encode() wraps the output into a
-binary32 SpatialFeatureMap. Training keeps each sample's ForwardPass so that
-encode_backward needs no second forward, and runs both passes over stacks of
-same-shape images, each sample keeping the bits of its own pass.
+The float64 forward is one pass over a stack of same-shape images
+(encode_forward), which keeps its layer cache so that encode_backward needs no
+second forward; both passes give every sample the bits of its own one-image
+stack. encode_raw is the output of a one-image stack, and encode() wraps it
+into a binary32 SpatialFeatureMap.
 """
 
 from __future__ import annotations
@@ -168,30 +168,25 @@ def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, ...]) -> np
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """One forward pass: its output grid, and per layer the conv input and
-    the ReLU mask (pre-activation > 0, shaped like the rectified grid) that
-    encode_backward reads in place of a second forward. A pass over a stack
-    of same-shape images holds every array with a leading sample axis."""
+    """One forward pass over a stack of same-shape images: the stacked output
+    grids, and per layer the stacked conv inputs and ReLU masks
+    (pre-activation > 0, shaped like the rectified grids) that encode_backward
+    reads in place of a second forward. Every array has a leading sample
+    axis."""
 
     output: np.ndarray
     inputs: tuple[np.ndarray, ...]
     relu_masks: tuple[np.ndarray, ...]
 
-    def sample(self, j: int) -> "ForwardPass":
-        """Sample j of a stacked pass, as views of its arrays."""
-        return ForwardPass(self.output[j], tuple(x[j] for x in self.inputs), tuple(m[j] for m in self.relu_masks))
 
+def encode_forward(images: Sequence[ToyImage], params: EncoderParams) -> ForwardPass:
+    """Float64 forward pass of a stack of same-shape images that keeps its
+    layer cache for encode_backward.
 
-def encode_forward(images: ToyImage | Sequence[ToyImage], params: EncoderParams) -> ForwardPass:
-    """Float64 forward pass that keeps its layer cache for encode_backward.
-
-    A sequence of same-shape images gives one stacked pass: each layer's
-    ReLU, mask and downsampling run once over the stack, while conv2d_valid
-    runs per image (a stacked contraction would round differently), so every
-    sample has the bits of its own pass. A single image is the one-sample
-    case, returned without the sample axis."""
-    single = isinstance(images, ToyImage)
-    pixels = [img.values for img in ([images] if single else images)]
+    Each layer's ReLU, mask and downsampling run once over the stack, while
+    conv2d_valid runs per image (a stacked contraction would round
+    differently), so every sample has the bits of its own one-image stack."""
+    pixels = [img.values for img in images]
     x = np.stack(pixels)
     inputs, masks = [], []
     for layer in params.layers:
@@ -202,13 +197,13 @@ def encode_forward(images: ToyImage | Sequence[ToyImage], params: EncoderParams)
         masks.append(pre > 0.0)
         post = np.maximum(pre, 0.0)
         x = _downsample(post) if layer.downsample else post
-    forward = ForwardPass(x, tuple(inputs), tuple(masks))
-    return forward.sample(0) if single else forward
+    return ForwardPass(x, tuple(inputs), tuple(masks))
 
 
 def encode_raw(img: ToyImage, params: EncoderParams) -> np.ndarray:
-    """Float64 forward pass; evaluation and gradient checks run on this."""
-    return encode_forward(img, params).output
+    """Float64 forward pass of one image; evaluation and gradient checks run
+    on this."""
+    return encode_forward([img], params).output[0]
 
 
 def encode(img: ToyImage, params: EncoderParams) -> SpatialFeatureMap:
@@ -220,15 +215,13 @@ def encode(img: ToyImage, params: EncoderParams) -> SpatialFeatureMap:
 def encode_backward(
     forward: ForwardPass, params: EncoderParams, upstream_grad: np.ndarray
 ) -> list[LayerGradients]:
-    """Exact reverse-mode parameter gradients for a given gradient w.r.t. the
-    output grid of a forward pass made with params. Rectification uses
-    subgradient 0 at exactly 0.
+    """Exact reverse-mode parameter gradients, per sample, for a stacked
+    gradient w.r.t. the output grids of a forward pass made with params.
+    Rectification uses subgradient 0 at exactly 0.
 
-    For a stacked pass the upstream gradient is stacked too, and each
-    layer's gradients come back per sample, with a leading sample axis: the
-    downsampling adjoint and the ReLU mask run once over the stack, the
-    kernel gradient and the input gradient per sample. An unstacked pass is
-    the one-sample case."""
+    Each layer's kernel and bias gradients come back with a leading sample
+    axis: the downsampling adjoint and the ReLU mask run once over the stack,
+    the kernel gradient and the input gradient per sample."""
     if len(forward.relu_masks) != len(params.layers):
         raise MismatchError(
             f"forward pass has {len(forward.relu_masks)} layers, params have {len(params.layers)}"
@@ -236,14 +229,6 @@ def encode_backward(
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.shape != forward.output.shape:
         raise MismatchError(f"upstream gradient shape {g.shape} != output shape {forward.output.shape}")
-    single = g.ndim == 3
-    if single:
-        g = g[None]
-        forward = ForwardPass(
-            forward.output[None],
-            tuple(x[None] for x in forward.inputs),
-            tuple(m[None] for m in forward.relu_masks),
-        )
     grads: list[LayerGradients | None] = [None] * len(params.layers)
     for i in reversed(range(len(params.layers))):
         layer = params.layers[i]
@@ -262,8 +247,6 @@ def encode_backward(
             # transpose of the forward's valid correlation.
             flipped = layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             g = np.stack([_correlate(np.pad(gs, ((0, 0), (k - 1, k - 1), (k - 1, k - 1))), flipped) for gs in g])
-    if single:
-        return [LayerGradients(lg.kernel[0], lg.bias[0]) for lg in grads]  # type: ignore[union-attr]
     return grads  # type: ignore[return-value]
 
 

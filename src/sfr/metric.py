@@ -11,11 +11,11 @@ update; phase two backpropagates the squared-Frobenius-residual gradients
 (from sfr_gradients, the function the oracle checks) in the solve's
 coordinates, chained through the frozen scales, plus the global Euclidean
 gradients, through the pooling layers into the encoder, and applies one SGD
-update. Each sample is encoded once per step: build_batch keeps its
-forward pass and column scales, and the step reads everything from the batch.
-The batch is encoded, pooled and backpropagated in groups of samples whose
-images share a shape, and the step solves for its coefficients with the
-factors that mining made.
+update. Each sample is encoded once per step: build_batch keeps one stacked
+forward pass per group of samples whose images share a shape, and the column
+scales per sample, and the step reads everything from the batch. The batch is
+encoded, pooled and backpropagated per group, and the step solves for its
+coefficients with the factors that mining made.
 """
 
 from __future__ import annotations
@@ -58,15 +58,14 @@ from .reconstruction import (
 @dataclass(frozen=True)
 class BatchSample:
     """One batch element: identity label, pooled features, and (for training)
-    the image the features were encoded from, the encoder's forward pass, and
-    the per-column scales the raw pyramid columns were divided by to give
-    `spatial` (all ones when normalization is off)."""
+    the image the features were encoded from and the per-column scales the
+    raw pyramid columns were divided by to give `spatial` (all ones when
+    normalization is off)."""
 
     label: Hashable
     global_feature: GlobalFeature
     spatial: FeatureMatrix
     image: ToyImage | None = None
-    forward: ForwardPass | None = None
     column_scales: np.ndarray | None = None
 
 
@@ -134,7 +133,8 @@ def combined_distance(a: BatchSample, b: BatchSample, beta: float) -> float:
     return euclidean_distance(a.global_feature, b.global_feature) + float(r)
 
 
-def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> tuple[np.ndarray, ReconstructionScorer]:
+def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], ReconstructionScorer]:
+    samples = batch.samples
     # d[i, j] = combined distance of anchor i against dictionary j. It equals
     # combined_distance pair by pair, bit for bit: the global term is the
     # same expression, and the scorer's distance for a pair does not depend
@@ -148,20 +148,24 @@ def _combined_matrix(samples: Sequence[BatchSample], beta: float) -> tuple[np.nd
         [global_distances(s.global_feature.values, globals_) + scorer.distances(s.spatial) for s in samples]
     )
     np.fill_diagonal(d, 0.0)
-    return d, scorer
-
-
-def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], ReconstructionScorer]:
-    samples = batch.samples
-    d, scorer = _combined_matrix(samples, beta)
-    labels = [s.label for s in samples]
-    mined = []
-    for a in range(len(samples)):
-        pos = [j for j in range(len(samples)) if j != a and labels[j] == labels[a]]
-        neg = [j for j in range(len(samples)) if labels[j] != labels[a]]
-        j_p = pos[int(np.argmax(d[a, pos]))]
-        j_n = neg[int(np.argmin(d[a, neg]))]
-        mined.append(MinedTriplet(a, j_p, j_n, float(d[a, j_p]), float(d[a, j_n])))
+    # Each identity appears K times, so every row of the label-equality
+    # matrix has K - 1 positives (anchor excluded) and n - K negatives, which
+    # nonzero lists in index order. argmax and argmin over d gathered there
+    # return the first extreme: ties break to the lowest index, and a row
+    # whose negatives are all inf still picks a negative, which filling the
+    # other entries with inf would not.
+    labels: dict[Hashable, int] = {}
+    ids = np.array([labels.setdefault(s.label, len(labels)) for s in samples])
+    n = len(samples)
+    same = ids[:, None] == ids[None, :]
+    pos = np.nonzero(same & ~np.eye(n, dtype=bool))[1].reshape(n, -1)
+    neg = np.nonzero(~same)[1].reshape(n, -1)
+    rows = np.arange(n)
+    j_p = pos[rows, d[rows[:, None], pos].argmax(axis=1)]
+    j_n = neg[rows, d[rows[:, None], neg].argmin(axis=1)]
+    mined = [
+        MinedTriplet(a, int(p), int(q), float(d[a, p]), float(d[a, q])) for a, (p, q) in enumerate(zip(j_p, j_n))
+    ]
     return mined, scorer
 
 
@@ -216,34 +220,6 @@ def _pool_grid(grid: np.ndarray, pyramid: PyramidSpec) -> tuple[np.ndarray, np.n
     return grid.mean(axis=(-2, -1)), pool_columns(grid, pyramid)
 
 
-def _encode_shape_group(
-    labeled_images: Sequence[tuple[Hashable, ToyImage]],
-    params: EncoderParams,
-    pyramid: PyramidSpec,
-    normalize: bool,
-) -> tuple[list[BatchSample], ForwardPass]:
-    # Images of one shape as one stack: one forward and one pool_stack, each
-    # of which gives every sample the bits it gets alone.
-    forward = encode_forward([img for _, img in labeled_images], params)
-    pooled, scales = pool_stack(forward.output, pyramid, normalize)
-    samples = [
-        BatchSample(label, gap, spatial, img, forward.sample(j), scales[j])
-        for j, ((label, img), (gap, spatial)) in enumerate(zip(labeled_images, pooled))
-    ]
-    return samples, forward
-
-
-def encode_batch_sample(
-    label: Hashable,
-    image: ToyImage,
-    params: EncoderParams,
-    *,
-    pyramid: PyramidSpec = DEFAULT_PYRAMID,
-    normalize: bool = True,
-) -> BatchSample:
-    return _encode_shape_group([(label, image)], params, pyramid, normalize)[0][0]
-
-
 def build_batch(
     labeled_images: Sequence[tuple[Hashable, ToyImage]],
     params: EncoderParams,
@@ -260,9 +236,13 @@ def build_batch(
     samples: list[BatchSample | None] = [None] * len(labeled_images)
     groups = []
     for positions in group_by_shape([img.values for _, img in labeled_images]).values():
-        encoded, forward = _encode_shape_group([labeled_images[i] for i in positions], params, pyramid, normalize)
-        for i, sample in zip(positions, encoded):
-            samples[i] = sample
+        # One forward and one pool_stack per shape, each of which gives
+        # every sample the bits it gets alone.
+        forward = encode_forward([labeled_images[i][1] for i in positions], params)
+        pooled, scales = pool_stack(forward.output, pyramid, normalize)
+        for i, (gap, spatial), scale in zip(positions, pooled, scales):
+            label, img = labeled_images[i]
+            samples[i] = BatchSample(label, gap, spatial, img, scale)
         groups.append((tuple(positions), forward))
     return TripletBatch(len(counts), k_values.pop(), tuple(samples), params, pyramid, tuple(groups))
 
@@ -345,7 +325,7 @@ def step_gradients(
     # once per image-shape group. The per-sample gradients are then summed
     # in sample order: a per-group sum would round differently.
     params = batch.params
-    per_sample: list[list[LayerGradients]] = [[] for _ in samples]
+    source = {}  # sample index -> (its group's layer gradients, its row in them)
     for positions, forward in batch.groups:
         grid_grad = _pool_backward(
             forward.output.shape,
@@ -353,15 +333,15 @@ def step_gradients(
             np.stack([dx[i] for i in positions]),
             batch.pyramid,
         )
-        for lg in encode_backward(forward, params, grid_grad):
-            for j, i in enumerate(positions):
-                per_sample[i].append(LayerGradients(lg.kernel[j], lg.bias[j]))
+        layer_grads = encode_backward(forward, params, grid_grad)
+        source.update((i, (layer_grads, j)) for j, i in enumerate(positions))
     kernel_acc = [np.zeros_like(l.kernel) for l in params.layers]
     bias_acc = [np.zeros_like(l.bias) for l in params.layers]
-    for sample_grads in per_sample:
-        for ka, ba, lg in zip(kernel_acc, bias_acc, sample_grads):
-            ka += lg.kernel
-            ba += lg.bias
+    for i in range(len(samples)):
+        layer_grads, j = source[i]
+        for ka, ba, lg in zip(kernel_acc, bias_acc, layer_grads):
+            ka += lg.kernel[j]
+            ba += lg.bias[j]
     grads = [LayerGradients(k, b) for k, b in zip(kernel_acc, bias_acc)]
     return grads, plan
 

@@ -132,12 +132,14 @@ class TestEncode:
         np.testing.assert_allclose(conv2d_valid(x, kernel, bias), expected, rtol=1e-12, atol=1e-12)
 
 class TestBackward:
+    # Each test backpropagates a one-image stack: the upstream gradient and
+    # the returned gradients carry a leading sample axis of length 1.
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(4)
         params = init_params(((3, 1, 3, True),), 4)
         img = random_image(rng, 1, 10, 9)
-        out = encode_raw(img, params)
-        grads = encode_backward(encode_forward(img, params), params, np.zeros_like(out))
+        forward = encode_forward([img], params)
+        grads = encode_backward(forward, params, np.zeros_like(forward.output))
         for g in grads:
             np.testing.assert_array_equal(g.kernel, 0.0)
             np.testing.assert_array_equal(g.bias, 0.0)
@@ -155,7 +157,7 @@ class TestBackward:
         upstream = rng.standard_normal(encode_raw(img, params).shape)
 
         for li in range(len(params.layers)):
-            grads = encode_backward(encode_forward(img, params), params, upstream)
+            grads = encode_backward(encode_forward([img], params), params, upstream[None])
 
             def f_kernel(kernel, li=li):
                 layers = list(params.layers)
@@ -163,7 +165,7 @@ class TestBackward:
                 return float(np.sum(upstream * encode_raw(img, EncoderParams(tuple(layers)))))
 
             fd = finite_difference(f_kernel, params.layers[li].kernel, 1e-6)
-            assert relative_error(grads[li].kernel, fd) < 1e-4
+            assert relative_error(grads[li].kernel[0], fd) < 1e-4
 
             def f_bias(bias, li=li):
                 layers = list(params.layers)
@@ -171,7 +173,7 @@ class TestBackward:
                 return float(np.sum(upstream * encode_raw(img, EncoderParams(tuple(layers)))))
 
             fd_b = finite_difference(f_bias, params.layers[li].bias, 1e-6)
-            assert relative_error(grads[li].bias, fd_b) < 1e-4
+            assert relative_error(grads[li].bias[0], fd_b) < 1e-4
 
     def test_dead_unit_gets_zero_gradient(self):
         # output channel 1 has a very negative bias: rectification kills it
@@ -180,18 +182,62 @@ class TestBackward:
         bias = np.array([0.0, -100.0])
         params = EncoderParams((ConvLayer(kernel, bias, False),))
         img = random_image(rng, 1, 8, 8)
-        upstream = rng.standard_normal(encode_raw(img, params).shape)
-        grads = encode_backward(encode_forward(img, params), params, upstream)
-        np.testing.assert_array_equal(grads[0].kernel[1], 0.0)
-        assert grads[0].bias[1] == 0.0
-        assert np.abs(grads[0].kernel[0]).max() > 0
+        forward = encode_forward([img], params)
+        upstream = rng.standard_normal(forward.output.shape)
+        grads = encode_backward(forward, params, upstream)
+        np.testing.assert_array_equal(grads[0].kernel[0, 1], 0.0)
+        assert grads[0].bias[0, 1] == 0.0
+        assert np.abs(grads[0].kernel[0, 0]).max() > 0
 
     def test_upstream_shape_checked(self):
         rng = np.random.default_rng(6)
         params = init_params(((2, 1, 3, False),), 0)
         img = random_image(rng, 1, 8, 8)
-        with pytest.raises(MismatchError):
-            encode_backward(encode_forward(img, params), params, np.zeros((2, 3, 3)))
+        forward = encode_forward([img], params)
+        assert forward.output.shape == (1, 2, 6, 6)
+        # A wrong grid, and the right grid without its sample axis.
+        for upstream_shape in [(1, 2, 3, 3), (2, 6, 6)]:
+            with pytest.raises(MismatchError):
+                encode_backward(forward, params, np.zeros(upstream_shape))
+
+    def test_stack_rows_match_one_image_stacks(self):
+        # Every row of a stacked forward and backward has the bits of the
+        # same image's one-image stack.
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @settings(max_examples=40, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            count=st.integers(1, 4),
+            layers=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.booleans()), min_size=1, max_size=2),
+            channels=st.integers(1, 2),
+            height=st.integers(10, 14),
+            width=st.integers(10, 14),
+        )
+        def check(seed, count, layers, channels, height, width):
+            rng = np.random.default_rng(seed)
+            conv, in_c = [], channels
+            for out_c, k, down in layers:
+                kernel = rng.standard_normal((out_c, in_c, k, k)) / k
+                conv.append(ConvLayer(kernel, rng.standard_normal(out_c) * 0.1, down))
+                in_c = out_c
+            params = EncoderParams(tuple(conv))
+            images = [random_image(rng, channels, height, width) for _ in range(count)]
+            stack = encode_forward(images, params)
+            upstream = rng.standard_normal(stack.output.shape)
+            grads = encode_backward(stack, params, upstream)
+            for j, img in enumerate(images):
+                alone = encode_forward([img], params)
+                np.testing.assert_array_equal(stack.output[j], alone.output[0])
+                for x, y in zip(stack.inputs + stack.relu_masks, alone.inputs + alone.relu_masks):
+                    np.testing.assert_array_equal(x[j], y[0])
+                for g, a in zip(grads, encode_backward(alone, params, upstream[j:j + 1])):
+                    np.testing.assert_array_equal(g.kernel[j], a.kernel[0])
+                    np.testing.assert_array_equal(g.bias[j], a.bias[0])
+
+        check()
 
 
 class TestCheckpoint:

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from sfr.encoder import ConvLayer, EncoderParams, ToyImage, init_params
+from sfr.encoder import ConvLayer, EncoderParams, ToyImage, encode_forward, init_params
 from sfr.errors import MismatchError
-from sfr.features import FeatureMatrix, GlobalFeature, PyramidSpec
+from sfr.features import FeatureMatrix, GlobalFeature, PyramidSpec, pool_stack
 from sfr.metric import (
     BatchSample,
     TripletBatch,
     batch_hard_mine,
     build_batch,
     combined_distance,
-    encode_batch_sample,
     euclidean_distance,
     frozen_step_objective,
     sample_batch,
@@ -117,6 +116,25 @@ class TestBatchHardMine:
 
         self_res = sfr_distance(spatial, spatial, BETA).distance
         np.testing.assert_allclose(mined[0].positive_distance, self_res, rtol=1e-12)
+
+    def test_overflowing_negatives_keep_their_identity(self):
+        # Every negative of anchor 0 is at distance inf (the global norm
+        # overflows): the lowest-index negative is still picked, never a
+        # sample of the anchor's own identity.
+        spatial = fm(np.eye(3)[:, :2])
+        samples = (
+            BatchSample("a", gf([0.0, 0.0, 0.0]), spatial),
+            BatchSample("b", gf([1e200, 0.0, 0.0]), spatial),
+            BatchSample("a", gf([1.0, 0.0, 0.0]), spatial),
+            BatchSample("b", gf([-1e200, 0.0, 0.0]), spatial),
+        )
+        with np.errstate(over="ignore"):
+            mined = batch_hard_mine(TripletBatch(2, 2, samples), BETA)
+        assert (mined[0].positive_idx, mined[0].negative_idx) == (2, 1)
+        assert mined[0].negative_distance == np.inf
+        for t in mined:
+            assert samples[t.positive_idx].label == samples[t.anchor_idx].label != samples[t.negative_idx].label
+            assert t.positive_idx != t.anchor_idx
 
     def test_random_batches_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -246,6 +264,14 @@ class TestSampling:
             sample_batch(pools, 3, 2, np.random.default_rng(0))
 
 
+def encode_alone(image, params, pyramid=PyramidSpec(), normalize=True):
+    """One image encoded and pooled as its own one-image stack: its forward
+    pass, pooled features and column scales."""
+    forward = encode_forward([image], params)
+    [(gap, spatial)], scales = pool_stack(forward.output, pyramid, normalize)
+    return forward, gap, spatial, scales[0]
+
+
 def small_training_batch(seed=0, p=3, k=2, normalize=True):
     pools = make_identity_pools(p, k + 1, seed=seed)
     params = init_params(((4, 1, 3, True), (6, 4, 3, False)), seed)
@@ -300,9 +326,12 @@ class TestTrainingStep:
 
         batch, params = small_training_batch()
 
-        def poisoned(img, p, upstream):
+        def poisoned(forward, p, upstream):
+            # The real function's stacked shapes: one kernel and one bias
+            # gradient per sample of the group.
+            n = len(forward.output)
             return [
-                LayerGradients(np.full_like(l.kernel, np.nan), np.zeros_like(l.bias))
+                LayerGradients(np.full((n, *l.kernel.shape), np.nan), np.zeros((n, *l.bias.shape)))
                 for l in p.layers
             ]
 
@@ -313,9 +342,9 @@ class TestTrainingStep:
     def test_stored_features_match_recomputation(self):
         batch, params = small_training_batch(seed=5)
         for s in batch.samples:
-            again = encode_batch_sample(s.label, s.image, params)
-            np.testing.assert_array_equal(s.global_feature.values, again.global_feature.values)
-            np.testing.assert_array_equal(s.spatial.columns, again.spatial.columns)
+            _, gap, spatial, _ = encode_alone(s.image, params)
+            np.testing.assert_array_equal(s.global_feature.values, gap.values)
+            np.testing.assert_array_equal(s.spatial.columns, spatial.columns)
 
     def test_loss_decreases_on_separable_toy_set(self):
         pools = make_identity_pools(
@@ -393,7 +422,7 @@ class TestOneFactorizationPerSample:
 class TestShapeGroupsKeepTheBits:
     # build_batch encodes, pools and normalizes each image shape as one
     # stack, and the step backpropagates each stack at once; both must give
-    # the bits of the one-sample path.
+    # every sample the bits of its own one-image stack.
     @pytest.mark.parametrize(
         "normalize, pyramid",
         [(True, PyramidSpec()), (False, PyramidSpec((1, 2, 8), stride=2))],
@@ -409,18 +438,18 @@ class TestShapeGroupsKeepTheBits:
         batch = build_batch(picks, params, pyramid=pyramid, normalize=normalize)
         assert len({s.image.values.shape for s in batch.samples}) >= 3
         assert any(len(positions) > 1 for positions, _ in batch.groups)
-        alone = [
-            encode_batch_sample(s.label, s.image, params, pyramid=pyramid, normalize=normalize)
-            for s in batch.samples
-        ]
-        for s, a in zip(batch.samples, alone):
-            np.testing.assert_array_equal(s.forward.output, a.forward.output)
-            for x, y in zip(s.forward.inputs + s.forward.relu_masks, a.forward.inputs + a.forward.relu_masks):
-                np.testing.assert_array_equal(x, y)
-            np.testing.assert_array_equal(s.global_feature.values, a.global_feature.values)
-            np.testing.assert_array_equal(s.spatial.columns, a.spatial.columns)
-            np.testing.assert_array_equal(s.column_scales, a.column_scales)
-            assert s.spatial.degenerate_columns == a.spatial.degenerate_columns
+        alone = [encode_alone(s.image, params, pyramid, normalize) for s in batch.samples]
+        for positions, forward in batch.groups:
+            for j, i in enumerate(positions):
+                a = alone[i][0]
+                np.testing.assert_array_equal(forward.output[j], a.output[0])
+                for x, y in zip(forward.inputs + forward.relu_masks, a.inputs + a.relu_masks):
+                    np.testing.assert_array_equal(x[j], y[0])
+        for s, (_, gap, spatial, scales) in zip(batch.samples, alone):
+            np.testing.assert_array_equal(s.global_feature.values, gap.values)
+            np.testing.assert_array_equal(s.spatial.columns, spatial.columns)
+            np.testing.assert_array_equal(s.column_scales, scales)
+            assert s.spatial.degenerate_columns == spatial.degenerate_columns
 
         real_pool_backward = metric_mod._pool_backward
         upstream = []
@@ -438,11 +467,12 @@ class TestShapeGroupsKeepTheBits:
                 per_sample[i] = (dg[j], dx[j])
         kernels = [np.zeros_like(l.kernel) for l in params.layers]
         biases = [np.zeros_like(l.bias) for l in params.layers]
-        for i, a in enumerate(alone):
-            grid_grad = real_pool_backward(a.forward.output.shape, *per_sample[i], pyramid)
-            for k, b, lg in zip(kernels, biases, encode_backward(a.forward, params, grid_grad)):
-                k += lg.kernel
-                b += lg.bias
+        for i, (a, *_) in enumerate(alone):
+            dg, dx = per_sample[i]
+            grid_grad = real_pool_backward(a.output.shape, dg[None], dx[None], pyramid)
+            for k, b, lg in zip(kernels, biases, encode_backward(a, params, grid_grad)):
+                k += lg.kernel[0]
+                b += lg.bias[0]
         for g, k, b in zip(grads, kernels, biases):
             np.testing.assert_array_equal(g.kernel, k)
             np.testing.assert_array_equal(g.bias, b)
