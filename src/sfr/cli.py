@@ -206,31 +206,35 @@ def _write_rankings_csv(path, rankings) -> None:
 
 
 def _read_rankings_csv(path) -> list[RetrievalRanking]:
-    """Rankings from a CSV that `_write_rankings_csv` wrote: ranks 1..N per
-    probe with finite scores; s may not decrease with rank (exit 3)."""
+    """Rankings from a CSV that `_write_rankings_csv` wrote: six fields per
+    row, ranks 1..N per probe with finite scores; s may not decrease with
+    rank (exit 3). Bytes that are not such a CSV raise FormatError."""
     grouped: dict[str, tuple[list[str], list[float], list[float], list[float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _RANKINGS_HEADER:
-            raise FormatError(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            try:
-                ids, d, r, s = grouped.setdefault(row["probeId"], ([], [], [], []))
-                if int(row["rank"]) != len(ids) + 1:
-                    raise FormatError(f"{path}: ranks for probe {row['probeId']} not contiguous")
-                scores = float(row["d"]), float(row["r"]), float(row["s"])
-            except (KeyError, ValueError, TypeError) as exc:
-                if isinstance(exc, FormatError):
-                    raise
-                raise FormatError(f"{path}: bad row {row}: {exc}") from exc
-            if not all(map(math.isfinite, scores)):
-                raise FormatError(f"{path}: non-finite score in row {row}")
-            if s and scores[2] < s[-1]:
-                raise MismatchError(f"{path}: probe {row['probeId']}: s decreases at rank {row['rank']}")
-            ids.append(row["entryId"])
-            d.append(scores[0])
-            r.append(scores[1])
-            s.append(scores[2])
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header != _RANKINGS_HEADER:
+                raise FormatError(f"{path}: unexpected header {header}")
+            for row in filter(None, rows):  # a blank line holds no row
+                try:
+                    probe_id, rank, entry_id, d_text, r_text, s_text = row
+                    rank, scores = int(rank), (float(d_text), float(r_text), float(s_text))
+                except ValueError as exc:
+                    raise FormatError(f"{path}: bad row {row}: {exc}") from exc
+                ids, d, r, s = grouped.setdefault(probe_id, ([], [], [], []))
+                if rank != len(ids) + 1:
+                    raise FormatError(f"{path}: ranks for probe {probe_id} not contiguous")
+                if not all(map(math.isfinite, scores)):
+                    raise FormatError(f"{path}: non-finite score in row {row}")
+                if s and scores[2] < s[-1]:
+                    raise MismatchError(f"{path}: probe {probe_id}: s decreases at rank {rank}")
+                ids.append(entry_id)
+                d.append(scores[0])
+                r.append(scores[1])
+                s.append(scores[2])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if not grouped:
         raise FormatError(f"{path}: no ranking rows")
     return [RetrievalRanking(pid, *columns) for pid, columns in grouped.items()]
@@ -239,6 +243,8 @@ def _read_rankings_csv(path) -> list[RetrievalRanking]:
 def cmd_match(args, cfg: RunConfig) -> int:
     gallery_manifest = load_manifest(args.gallery)
     probe_manifest = load_manifest(args.probes)
+    truth = {m.entry_id: m.subject_id for m in probe_manifest}
+    subject_of = {m.entry_id: m.subject_id for m in gallery_manifest}
     gallery = build_gallery(_load_entries(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
     probes = _load_entries(probe_manifest, args.probes, cfg)
 
@@ -247,8 +253,7 @@ def cmd_match(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_rankings_csv(out / "rankings.csv", rankings)
-    truth = {e.entry_id: e.subject_id for e in probes}
-    write_summary_json(out / "summary.json", evaluate(rankings, truth, gallery))
+    write_summary_json(out / "summary.json", evaluate(rankings, truth, subject_of))
     return 0
 
 
@@ -271,10 +276,12 @@ def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
         labels = [(f"{prefix}{label}_{i}", str(label)) for label, i, _ in views]
         return _pooled_entries(labels, [encode(img, params) for _, _, img in views], cfg)
 
-    gallery = build_gallery(pooled(gallery_pool, "g"), cfg.alpha, cfg.beta)
-    probes = pooled(probe_pool, "p")
+    entries, probes = pooled(gallery_pool, "g"), pooled(probe_pool, "p")
+    gallery = build_gallery(entries, cfg.alpha, cfg.beta)
     rankings = [match_probe((e.global_feature, e.spatial), gallery, e.entry_id) for e in probes]
-    return evaluate(rankings, {e.entry_id: e.subject_id for e in probes}, gallery).rank_k(1)
+    truth = {e.entry_id: e.subject_id for e in probes}
+    subject_of = {e.entry_id: e.subject_id for e in entries}
+    return evaluate(rankings, truth, subject_of).rank_k(1)
 
 
 def cmd_train_demo(args, cfg: RunConfig) -> int:

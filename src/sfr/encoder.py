@@ -67,7 +67,6 @@ class EncoderParams:
     precomputed feature maps."""
 
     layers: tuple[ConvLayer, ...]
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -119,16 +118,12 @@ def init_params(layer_specs: Sequence[LayerSpec], seed: int) -> EncoderParams:
     fan-in scale, biases zero. An empty spec yields the identity encoder."""
     rng = np.random.default_rng(seed)
     layers = []
-    prev_out = None
     for out_c, in_c, k, down in layer_specs:
         if min(out_c, in_c, k) < 1:
             raise ValueError(f"invalid layer spec {(out_c, in_c, k, down)}")
-        if prev_out is not None and in_c != prev_out:
-            raise ValueError(f"layer chain broken: out_c {prev_out} feeds in_c {in_c}")
         scale = 1.0 / math.sqrt(in_c * k * k)
         layers.append(ConvLayer(rng.standard_normal((out_c, in_c, k, k)) * scale, np.zeros(out_c), down))
-        prev_out = out_c
-    return EncoderParams(tuple(layers), seed=seed)
+    return EncoderParams(tuple(layers))
 
 
 def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -257,7 +252,7 @@ def sgd_update(params: EncoderParams, grads: Sequence[LayerGradients], learning_
         ConvLayer(l.kernel - learning_rate * g.kernel, l.bias - learning_rate * g.bias, l.downsample)
         for l, g in zip(params.layers, grads)
     )
-    return EncoderParams(layers, seed=params.seed)
+    return EncoderParams(layers)
 
 
 def save_params(params: EncoderParams, path) -> None:
@@ -298,6 +293,8 @@ def load_params(path) -> EncoderParams:
     expected = sum(4 * o * i * k * k for o, i, k, _ in shapes) + sum(4 * o for o, _, _, _ in shapes)
     if len(buf) - offset != expected:
         raise FormatError(f"{path}: payload holds {len(buf) - offset} bytes, manifest declares {expected}")
+    if not np.isfinite(np.frombuffer(buf, dtype="<f4", offset=offset)).all():
+        raise FormatError(f"{path}: non-finite value in payload")
     kernels = []
     for o, i, k, _ in shapes:
         n = 4 * o * i * k * k
@@ -308,4 +305,7 @@ def load_params(path) -> EncoderParams:
         bias = np.frombuffer(buf[offset:offset + 4 * o], dtype="<f4")
         offset += 4 * o
         layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64), down))
-    return EncoderParams(tuple(layers))
+    try:
+        return EncoderParams(tuple(layers))
+    except ValueError as exc:  # a broken layer chain
+        raise FormatError(f"{path}: {exc}") from exc

@@ -2,20 +2,20 @@
 loss, and the alternating training step.
 
 Mining and the reported loss use the combined distance: global Euclidean plus
-the mean-residual-norm reconstruction distance, with the anchor always
-reconstructed from the other sample's dictionary. The training step follows
-the two-phase alternation: phase one freezes the encoder and computes the
-mined triplets, the hinge active set, the coefficient matrices, and (when
-normalization is on) the column scales, all of which stay fixed through the
-update; phase two backpropagates the squared-Frobenius-residual gradients
-(from sfr_gradients, the function the oracle checks) in the solve's
-coordinates, chained through the frozen scales, plus the global Euclidean
-gradients, through the pooling layers into the encoder, and applies one SGD
-update. Each sample is encoded once per step: build_batch keeps one stacked
-forward pass per group of samples whose images share a shape, and the column
-scales per sample, and the step reads everything from the batch. The batch is
-encoded, pooled and backpropagated per group, and the step solves for its
-coefficients with the factors that mining made.
+the reconstruction distance (the mean residual column norm), with the anchor
+always reconstructed from the other sample's dictionary. build_batch encodes
+each group of same-shape images in one stacked forward pass and keeps it, with
+each sample's column scales, so a step encodes no sample again.
+
+The step alternates in two phases. Phase one freezes the encoder: one
+ReconstructionScorer mines the batch, and for each triplet whose hinge term is
+above zero the same scorer solves the anchor's coefficients against the
+positive's and the negative's dictionaries (StepPlan). Phase two holds those
+coefficients and the column scales fixed, backpropagates the
+squared-Frobenius-residual gradients (sfr_gradients, the function the oracle
+checks) and the global Euclidean gradients through the pooling adjoint into
+the encoder, one stacked backward pass per shape group, and applies one SGD
+update.
 """
 
 from __future__ import annotations
@@ -47,12 +47,7 @@ from .features import (
     pool_columns_adjoint,
     pool_stack,
 )
-from .reconstruction import (
-    DictionaryFactor,
-    ReconstructionCoefficients,
-    ReconstructionScorer,
-    sfr_gradients,
-)
+from .reconstruction import ReconstructionCoefficients, ReconstructionScorer, sfr_gradients
 
 
 @dataclass(frozen=True)
@@ -215,11 +210,6 @@ def sample_batch(
     return out
 
 
-def _pool_grid(grid: np.ndarray, pyramid: PyramidSpec) -> tuple[np.ndarray, np.ndarray]:
-    # The global mean and the pyramid columns of a grid or a stack of grids.
-    return grid.mean(axis=(-2, -1)), pool_columns(grid, pyramid)
-
-
 def build_batch(
     labeled_images: Sequence[tuple[Hashable, ToyImage]],
     params: EncoderParams,
@@ -249,14 +239,12 @@ def build_batch(
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Phase one of the alternating step: the mined triplets, the hinge active
-    set and the coefficient matrices, frozen with the batch's column scales
-    through the update."""
+    """Phase one of the alternating step: each triplet whose hinge term is
+    above zero with its positive and negative coefficient matrices, frozen
+    with the batch's column scales through the update, and the loss report
+    over all mined triplets."""
 
-    triplets: tuple[MinedTriplet, ...]
-    active: tuple[bool, ...]
-    coeff_pos: tuple[ReconstructionCoefficients, ...]
-    coeff_neg: tuple[ReconstructionCoefficients, ...]
+    active: tuple[tuple[MinedTriplet, ReconstructionCoefficients, ReconstructionCoefficients], ...]
     report: LossReport
 
 
@@ -286,17 +274,14 @@ def step_gradients(
     _check_margin(margin)
     mined, scorer = _mine(batch, beta)
     report = _loss_terms(mined, margin)
-    active = tuple(t > 0.0 for t in report.per_triplet_terms)
-
-    # The factors mining made; a dual dictionary's is made on first use.
-    factors = list(scorer.factors)
-    for t in mined:
-        for j in (t.positive_idx, t.negative_idx):
-            if factors[j] is None:
-                factors[j] = DictionaryFactor(samples[j].spatial, beta)
-    coeff_pos = tuple(factors[t.positive_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
-    coeff_neg = tuple(factors[t.negative_idx].solve(samples[t.anchor_idx].spatial) for t in mined)
-    plan = StepPlan(tuple(mined), active, coeff_pos, coeff_neg, report)
+    # Only the triplets whose hinge term is above zero are solved for, with
+    # the factors that mining made.
+    active = []
+    for t, term in zip(mined, report.per_triplet_terms):
+        if term > 0.0:
+            x = samples[t.anchor_idx].spatial
+            active.append((t, scorer.solve(t.positive_idx, x), scorer.solve(t.negative_idx, x)))
+    plan = StepPlan(tuple(active), report)
 
     globals_ = [s.global_feature.values for s in samples]
     # The solve's coordinates: the raw pyramid columns divided by the frozen
@@ -304,9 +289,7 @@ def step_gradients(
     spatial = [s.spatial for s in samples]
     dg = [np.zeros_like(g) for g in globals_]
     dx = [np.zeros_like(x.columns) for x in spatial]
-    for t, is_active, wp, wn in zip(mined, active, coeff_pos, coeff_neg):
-        if not is_active:
-            continue
+    for t, wp, wn in plan.active:
         a, p, n = t.anchor_idx, t.positive_idx, t.negative_idx
         u = _unit(globals_[a] - globals_[p])
         v = _unit(globals_[a] - globals_[n])
@@ -355,13 +338,11 @@ def frozen_step_objective(
     scales frozen. step_gradients returns the exact gradient of this scalar.
     It encodes every sample's image afresh with params, never reading the
     batch's stored forward passes, so that it stays an independent reference."""
-    pooled = [_pool_grid(encode_raw(s.image, params), batch.pyramid) for s in batch.samples]
-    globals_ = [g for g, _ in pooled]
-    units = [x / s.column_scales for (_, x), s in zip(pooled, batch.samples)]
+    grids = [encode_raw(s.image, params) for s in batch.samples]
+    globals_ = [g.mean(axis=(-2, -1)) for g in grids]
+    units = [pool_columns(g, batch.pyramid) / s.column_scales for g, s in zip(grids, batch.samples)]
     total = 0.0
-    for t, is_active, wp, wn in zip(plan.triplets, plan.active, plan.coeff_pos, plan.coeff_neg):
-        if not is_active:
-            continue
+    for t, wp, wn in plan.active:
         a, p, n = t.anchor_idx, t.positive_idx, t.negative_idx
         r_pos = units[a] - units[p] @ wp.matrix
         r_neg = units[a] - units[n] @ wn.matrix

@@ -92,17 +92,18 @@ def exhaustive_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
         raise ValueError(f"exhaustive mining capped at 24 samples, got {len(samples)}")
     mined = []
     for a, anchor in enumerate(samples):
-        best_pos, best_pos_d = -1, -np.inf
-        best_neg, best_neg_d = -1, np.inf
+        # Each scan starts at the anchor's first candidate, so an anchor whose
+        # candidates are all at distance inf still gets one.
+        best_pos = best_neg = None
         for j, other in enumerate(samples):
             if j == a:
                 continue
             d = combined_distance(anchor, other, beta)
             if other.label == anchor.label:
-                if d > best_pos_d:
+                if best_pos is None or d > best_pos_d:
                     best_pos, best_pos_d = j, d
             else:
-                if d < best_neg_d:
+                if best_neg is None or d < best_neg_d:
                     best_neg, best_neg_d = j, d
         mined.append(MinedTriplet(a, best_pos, best_neg, best_pos_d, best_neg_d))
     return mined

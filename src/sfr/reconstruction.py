@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import FactorizationError, MismatchError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, group_by_shape
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ class ReconstructionScorer:
       Gram matrix at beta = 0).
     A dictionary's slice goes through the same products whatever else is
     stacked with it, so a pair's distance does not depend, bit for bit, on
-    the other dictionaries in the scorer. `factors` keeps each primal
-    dictionary's DictionaryFactor (None for a dual one), so that a caller
-    solving for coefficients against the same dictionaries factors none
-    of them again.
+    the other dictionaries in the scorer. solve() reuses the factor that
+    scoring made for a primal dictionary and factors a dual one on its
+    first solve, so no dictionary is factored twice. The scorer keeps a
+    reference to each dictionary.
     """
 
     def __init__(self, dictionaries: Sequence[FeatureMatrix], beta: float):
@@ -141,19 +141,19 @@ class ReconstructionScorer:
         if not dictionaries:
             raise ValueError("scorer needs at least one dictionary")
         dim = dictionaries[0].dim
-        by_count: dict[int, list[int]] = {}
         for i, y in enumerate(dictionaries):
             if y.dim != dim:
                 raise MismatchError(f"dictionary {i}: feature dim {y.dim} != {dim}")
-            by_count.setdefault(y.count, []).append(i)
         self.dim = dim
         self.size = len(dictionaries)
+        self._beta = float(beta)
+        self._dictionaries = dictionaries
+        self._factors: dict[int, DictionaryFactor] = {}
         # (positions, dual, stacked operators); the residual is formed
         # transposed, one row per probe column, so that each column norm
         # reduces a contiguous row.
         self._groups = []
-        factors: list[DictionaryFactor | None] = [None] * len(dictionaries)
-        for count, positions in by_count.items():
+        for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
             dual = beta > 0 and dim < count
             shape = (dim, dim) if dual else (dim, count)
             operators = np.empty((len(positions),) + shape)
@@ -161,10 +161,16 @@ class ReconstructionScorer:
                 if dual:
                     operators[k] = _dual_residual_operator(dictionaries[i], beta)
                 else:
-                    factors[i] = DictionaryFactor(dictionaries[i], beta)
-                    operators[k] = factors[i].whitened_dictionary()
+                    self._factors[i] = DictionaryFactor(dictionaries[i], beta)
+                    operators[k] = self._factors[i].whitened_dictionary()
             self._groups.append((np.asarray(positions), dual, operators))
-        self.factors = tuple(factors)
+
+    def solve(self, j: int, x: FeatureMatrix) -> ReconstructionCoefficients:
+        """Ridge coefficients of x against dictionary j, the bits of
+        solve_coefficients(x, dictionary j, beta)."""
+        if j not in self._factors:
+            self._factors[j] = DictionaryFactor(self._dictionaries[j], self._beta)
+        return self._factors[j].solve(x)
 
     def distances(self, x: FeatureMatrix) -> np.ndarray:
         """Mean residual column norm of x against each dictionary."""

@@ -136,19 +136,13 @@ def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str])
         )
 
 
-def evaluate(rankings, truth: dict[str, str], gallery) -> EvalReport:
-    """CMC curve and mean average precision over subject-level matches.
-
-    gallery may be a GalleryIndex or a plain {entry_id: subject_id} mapping
-    (the latter is what a rankings CSV re-evaluation has available).
-    """
+def evaluate(rankings, truth: dict[str, str], subject_of: dict[str, str]) -> EvalReport:
+    """CMC curve and mean average precision over subject-level matches, from
+    each probe's true subject (truth) and each gallery entry's subject
+    (subject_of)."""
     rankings = list(rankings)
     if not rankings:
         raise ValueError("no rankings to evaluate")
-    if isinstance(gallery, GalleryIndex):
-        subject_of = {e.entry_id: e.subject_id for e in gallery.entries}
-    else:
-        subject_of = dict(gallery)
     hits = np.zeros(len(subject_of))
     aps = []
     for ranking in rankings:
@@ -177,18 +171,26 @@ class ManifestEntry:
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """JSON-lines manifest: one {"entryId", "subjectId", "path"} object per line."""
+    """JSON-lines manifest: one {"entryId", "subjectId", "path"} object per
+    line. An entry id may not contain a comma, a double quote, CR or LF,
+    which the rankings CSV (written unquoted) could not hold."""
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                entries.append(ManifestEntry(str(obj["entryId"]), str(obj["subjectId"]), str(obj["path"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    entry = ManifestEntry(str(obj["entryId"]), str(obj["subjectId"]), str(obj["path"]))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
+                if any(c in entry.entry_id for c in ',"\r\n'):
+                    raise FormatError(f"{path}:{lineno}: entry id {entry.entry_id!r} holds a comma, quote, CR or LF")
+                entries.append(entry)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: {exc}") from exc
     if not entries:
         raise FormatError(f"{path}: empty manifest")
     ids = [e.entry_id for e in entries]

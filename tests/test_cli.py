@@ -125,6 +125,18 @@ class TestMatch:
         probes = make_set(tmp_path, rng, "probe", 3, 1, c=4)
         assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(tmp_path / "o")]) == 3
 
+    def test_entry_id_with_a_comma_exit_2(self, tmp_path, capsys):
+        # The rankings CSV writes ids unquoted: a comma would add a field.
+        rng = np.random.default_rng(48)
+        gallery = make_set(tmp_path, rng, "gal", 3, 1)
+        lines = gallery.read_text().splitlines()
+        lines[1] = lines[1].replace('"gal1_0"', '"g,1"')
+        gallery.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["match", "--gallery", str(gallery), "--probes", str(gallery), "--out", str(out)]) == 2
+        assert "manifest.jsonl:2: entry id 'g,1'" in capsys.readouterr().err
+        assert not (out / "rankings.csv").exists()
+
     def test_workers_byte_identical(self, tmp_path):
         rng = np.random.default_rng(46)
         gallery = make_set(tmp_path, rng, "gal", 8, 1)
@@ -216,6 +228,17 @@ class TestEval:
         rankings.write_text("\n".join(rows) + "\n")
         out = tmp_path / "eval"
         assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 3
+        assert not (out / "summary.json").exists()
+
+    def test_oversized_field_exit_2(self, tmp_path, capsys):
+        # One field longer than the csv module's 131072-character limit.
+        rankings, probes, gal = self.fixture_rankings(tmp_path)
+        rows = rankings.read_text().splitlines()
+        rows[1] = rows[1].replace(",g0,", f",{'g' * 200_000},")
+        rankings.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_tied_s_accepted(self, tmp_path):

@@ -132,6 +132,8 @@ class TestBatchHardMine:
             mined = batch_hard_mine(TripletBatch(2, 2, samples), BETA)
         assert (mined[0].positive_idx, mined[0].negative_idx) == (2, 1)
         assert mined[0].negative_distance == np.inf
+        with np.errstate(over="ignore"):
+            assert exhaustive_mine(TripletBatch(2, 2, samples), BETA) == mined
         for t in mined:
             assert samples[t.positive_idx].label == samples[t.anchor_idx].label != samples[t.negative_idx].label
             assert t.positive_idx != t.anchor_idx
@@ -367,10 +369,10 @@ class TestTrainingStep:
 class TestOneForwardPerStep:
     def test_step_reuses_the_batch_forward(self, monkeypatch):
         import sfr.encoder as encoder_mod
-        import sfr.metric as metric_mod
+        import sfr.reconstruction as reconstruction_mod
 
         conv_calls, factor_calls = [], []
-        real_conv, real_factor = encoder_mod.conv2d_valid, metric_mod.DictionaryFactor
+        real_conv, real_factor = encoder_mod.conv2d_valid, reconstruction_mod.DictionaryFactor
 
         def counting_conv(*args):
             conv_calls.append(args)
@@ -381,7 +383,7 @@ class TestOneForwardPerStep:
             return real_factor(*args)
 
         monkeypatch.setattr(encoder_mod, "conv2d_valid", counting_conv)
-        monkeypatch.setattr(metric_mod, "DictionaryFactor", counting_factor)
+        monkeypatch.setattr(reconstruction_mod, "DictionaryFactor", counting_factor)
         batch, params = small_training_batch(seed=4)
         samples = len(batch.samples)
         assert len(conv_calls) == samples * len(params.layers)
@@ -397,12 +399,16 @@ class TestOneFactorizationPerSample:
     def test_step_solves_with_the_factors_mining_made(self, monkeypatch):
         from sfr.reconstruction import DictionaryFactor
 
-        made = []
-        real_init = DictionaryFactor.__init__
+        made, solved = [], []
+        real_init, real_solve = DictionaryFactor.__init__, DictionaryFactor.solve
 
         def counting_init(self, *args):
             made.append(True)
             real_init(self, *args)
+
+        def counting_solve(self, *args):
+            solved.append(True)
+            return real_solve(self, *args)
 
         # 32 channels above at most 26 pyramid columns: every dictionary is
         # factored in the primal form, so mining factors all of them.
@@ -414,9 +420,12 @@ class TestOneFactorizationPerSample:
         batch = build_batch(picks, params)
         assert all(s.spatial.dim > s.spatial.count for s in batch.samples)
         monkeypatch.setattr(DictionaryFactor, "__init__", counting_init)
+        monkeypatch.setattr(DictionaryFactor, "solve", counting_solve)
         _, report = training_step(batch, BETA, 0.3, 1e-3)
         assert report.active_triplets > 0
         assert len(made) == len(batch.samples)
+        # Only the triplets whose hinge term is above zero are solved for.
+        assert len(solved) == 2 * report.active_triplets
 
 
 class TestShapeGroupsKeepTheBits:

@@ -274,6 +274,17 @@ class TestReconstructionScorer:
         assert group_dual is dual
         assert operators.shape == ((1, d, d) if dual else (1, d, m))
 
+    @pytest.mark.parametrize("d, m", [(4, 9), (9, 4)], ids=["dual-d<M", "primal-d>M"])
+    def test_solve_has_the_bits_of_solve_coefficients(self, d, m):
+        rng = np.random.default_rng(15)
+        ys = [fm(rng.standard_normal((d, m))) for _ in range(3)]
+        x = fm(rng.standard_normal((d, 5)))
+        scorer = ReconstructionScorer(ys, 1e-3)
+        # j = 2 twice: a dual dictionary is factored on its first solve and
+        # that factor is reused.
+        for j in (2, 0, 2):
+            np.testing.assert_array_equal(scorer.solve(j, x).matrix, solve_coefficients(x, ys[j], 1e-3).matrix)
+
     def test_wide_dictionary_at_beta_zero_stays_singular(self):
         # d < M makes Y^T Y singular; beta = 0 never takes the dual form
         rng = np.random.default_rng(12)

@@ -270,6 +270,15 @@ class TestManifests:
         with pytest.raises(FormatError, match="duplicate"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("entry_id", ["g,1", 'g"1', "g\r1", "g\n1"], ids=["comma", "quote", "cr", "lf"])
+    def test_entry_id_that_would_break_the_rankings_csv(self, tmp_path, entry_id):
+        from sfr.retrieval import ManifestEntry
+
+        path = tmp_path / "m.jsonl"
+        write_manifest(path, [ManifestEntry("ok", "s", "x"), ManifestEntry(entry_id, "s", "y")])
+        with pytest.raises(FormatError, match=":2: entry id"):
+            load_manifest(path)
+
 
 class TestEvalOutputs:
     def test_cmc_csv(self, tmp_path):

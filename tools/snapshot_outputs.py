@@ -1,0 +1,96 @@
+"""Write every output that a byte-identity check compares into one directory.
+
+    python3 tools/snapshot_outputs.py OUT
+
+Runs from the root of a source checkout and drives `sfr.cli.main` in-process,
+importing `sfr` from this checkout's `src/` and the match workloads' input
+generator from `perfbench/workloads.py`. Run it in two checkouts (for
+example a change and its parent) and compare with `diff -r OUT_A OUT_B`: no
+output means every command wrote the same bytes, printed the same text and
+exited with the same code.
+
+Each command gets a directory holding its output files, `stdout.txt`,
+`stderr.txt` and `exit_code`:
+
+- `train-demo/seed7`: `train-demo --seed 7` (`loss.csv`, `encoder.sfrf`);
+- `train-demo/seed7-8-epochs-raw`: the same for 8 epochs with
+  `--no-normalize`, which exits 4;
+- `verify`: the oracle suite's JSON report;
+- `<workload>-seed<k>/`, for both match workloads at seeds 1 and 2: the
+  inputs that `perfbench/workloads.py` writes, and with and without
+  `--no-normalize` the `match` outputs (`rankings.csv`, `summary.json`),
+  `eval` of those rankings (`cmc.csv`, `summary.json`) and `pool` of the
+  first three gallery maps.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MATCH_WORKLOADS = ("match-large-dict", "match-small-dict")
+SEEDS = (1, 2)
+POOLED_MAPS = 3
+
+
+def run(out: Path, argv: list[str]) -> None:
+    """Run one command and record its exit code and printed text in `out`."""
+    from sfr.cli import main
+
+    out.mkdir(parents=True, exist_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        rc = main(argv)
+    (out / "exit_code").write_text(f"{rc}\n", encoding="utf-8")
+    (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
+    (out / "stderr.txt").write_text(stderr.getvalue(), encoding="utf-8")
+
+
+def snapshot_match(root: Path, name: str, seed: int) -> None:
+    from workloads import WORKLOADS, make_workload
+
+    workload = make_workload(WORKLOADS[name], seed)
+    inputs = root / "inputs"
+    workload.prepare(inputs)
+    for variant, flags in (("normalized", []), ("raw", ["--no-normalize"])):
+        base = root / variant
+        run(base / "match", workload.argv(base / "match") + flags)
+        run(base / "eval", [
+            "eval", "--rankings", str(base / "match" / "rankings.csv"), "--truth", str(inputs / "probes.jsonl"),
+            "--gallery", str(inputs / "gallery.jsonl"), "--out", str(base / "eval"), *flags,
+        ])
+        for entry in workload.gallery[:POOLED_MAPS]:
+            pooled = base / "pool" / entry.entry_id
+            run(pooled, ["pool", "--input", str(inputs / entry.path), "--out", str(pooled / "pooled.sfrf"), *flags])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/snapshot_outputs.py OUT", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    if out.exists():
+        print(f"error: {out} exists; give a new directory", file=sys.stderr)
+        return 2
+    # One BLAS thread, as in the benchmark, set before numpy is imported.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+    demo = out / "train-demo"
+    run(demo / "seed7", ["train-demo", "--out", str(demo / "seed7"), "--seed", "7"])
+    raw = demo / "seed7-8-epochs-raw"
+    run(raw, ["train-demo", "--out", str(raw), "--seed", "7", "--epochs", "8", "--no-normalize"])
+    run(out / "verify", ["verify"])
+    for name in MATCH_WORKLOADS:
+        for seed in SEEDS:
+            snapshot_match(out / f"{name}-seed{seed}", name, seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
