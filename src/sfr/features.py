@@ -62,7 +62,6 @@ class FeatureMatrix:
     """d x N collection of spatial feature vectors, one feature per column."""
 
     columns: np.ndarray
-    normalized: bool = False
     degenerate_columns: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -73,16 +72,8 @@ class FeatureMatrix:
             raise ValueError("feature matrix needs dim > 0 and count >= 1")
         if not np.isfinite(c).all():
             raise ValueError("feature matrix contains non-finite values")
-        degenerate = tuple(int(i) for i in self.degenerate_columns)
-        if self.normalized:
-            live = np.ones(c.shape[1], dtype=bool)
-            if degenerate:
-                live[list(degenerate)] = False
-            norms = np.linalg.norm(c[:, live], axis=0)
-            if norms.size and np.abs(norms - 1.0).max() > 1e-6:
-                raise ValueError("normalized flag set but columns are not unit length")
         object.__setattr__(self, "columns", _freeze(c))
-        object.__setattr__(self, "degenerate_columns", degenerate)
+        object.__setattr__(self, "degenerate_columns", tuple(int(i) for i in self.degenerate_columns))
 
     @property
     def dim(self) -> int:
@@ -114,19 +105,15 @@ class GlobalFeature:
 
 @dataclass(frozen=True)
 class PyramidSpec:
-    """Square average-pooling windows applied at a common stride."""
+    """Square average-pooling windows, each slid over every position."""
 
     kernel_sizes: tuple[int, ...] = (1, 2, 3, 4)
-    stride: int = 1
 
     def __post_init__(self) -> None:
         ks = tuple(int(k) for k in self.kernel_sizes)
         if not ks or ks[0] < 1 or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ValueError(f"kernel sizes must be strictly increasing and >= 1, got {ks}")
-        if int(self.stride) < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
         object.__setattr__(self, "kernel_sizes", ks)
-        object.__setattr__(self, "stride", int(self.stride))
 
 
 DEFAULT_PYRAMID = PyramidSpec()
@@ -157,8 +144,7 @@ def pool_columns(values: np.ndarray, spec: PyramidSpec) -> np.ndarray:
         for di in range(k):
             for dj in range(k):
                 acc += values[..., di:di + h - k + 1, dj:dj + w - k + 1]
-        acc = acc[..., ::spec.stride, ::spec.stride] / float(k * k)
-        blocks.append(acc.reshape(*lead, c, -1))
+        blocks.append((acc / float(k * k)).reshape(*lead, c, -1))
     return np.concatenate(blocks, axis=-1)
 
 
@@ -168,14 +154,12 @@ def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, ...], spec: PyramidSp
     gradients onto the stack of grids of the given shape."""
     h, w = shape[-2:]
     fitting = usable_kernels(spec, h, w)
-    counts = [len(range(0, h - k + 1, spec.stride)) * len(range(0, w - k + 1, spec.stride)) for k in fitting]
+    counts = [(h - k + 1) * (w - k + 1) for k in fitting]
     if sum(counts) != dx.shape[-1]:
         raise MismatchError(f"spatial gradient has {dx.shape[-1]} columns, pooling produced {sum(counts)}")
     out = np.zeros(shape)
     for k, block in zip(fitting, np.split(dx, np.cumsum(counts)[:-1], axis=-1)):
-        acc = np.zeros((*shape[:-2], h - k + 1, w - k + 1))
-        strided = acc[..., ::spec.stride, ::spec.stride]
-        strided[...] = block.reshape(strided.shape) / float(k * k)
+        acc = block.reshape(*shape[:-2], h - k + 1, w - k + 1) / float(k * k)
         for di in range(k):
             for dj in range(k):
                 out[..., di:di + h - k + 1, dj:dj + w - k + 1] += acc
@@ -185,9 +169,9 @@ def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, ...], spec: PyramidSp
 def pyramid_pool(fmap: SpatialFeatureMap, spec: PyramidSpec = DEFAULT_PYRAMID) -> FeatureMatrix:
     """Multi-scale spatial features from sliding average windows.
 
-    For each kernel size k <= min(H, W) an k x k averaging window slides at the
-    spec's stride, producing one column per window position; columns from all
-    kernels are concatenated in kernel order.
+    For each kernel size k <= min(H, W) a k x k averaging window slides over
+    every position, producing one column per window position; columns from
+    all kernels are concatenated in kernel order.
     """
     return FeatureMatrix(pool_columns(fmap.values.astype(np.float64), spec))
 
@@ -207,7 +191,7 @@ def l2_normalize_columns(m: FeatureMatrix) -> FeatureMatrix:
     """Scale every nonzero column to unit l2 norm; zero columns stay zero and
     are reported through the degenerate_columns flag."""
     units, _, zero = unit_columns(m.columns)
-    return FeatureMatrix(units, normalized=True, degenerate_columns=tuple(int(i) for i in np.flatnonzero(zero)))
+    return FeatureMatrix(units, tuple(int(i) for i in np.flatnonzero(zero)))
 
 
 def group_by_shape(arrays: Sequence[np.ndarray]) -> dict[tuple[int, ...], list[int]]:
@@ -235,9 +219,7 @@ def pool_stack(
     else:
         scales = np.ones(columns.shape[::2])
         degenerate = [()] * len(stack)
-    pooled = [
-        (GlobalFeature(g), FeatureMatrix(c, normalize, d)) for g, c, d in zip(globals_, columns, degenerate)
-    ]
+    pooled = [(GlobalFeature(g), FeatureMatrix(c, d)) for g, c, d in zip(globals_, columns, degenerate)]
     return pooled, scales
 
 
@@ -317,6 +299,8 @@ def load_pooled(path) -> tuple[FeatureMatrix, GlobalFeature]:
     with open(path, "rb") as fh:
         buf = fh.read()
     cols, offset = _unpack_record(buf, 0, str(path))
+    if cols.shape[1] != 1:
+        raise FormatError(f"{path}: spatial record shape {cols.shape} has height {cols.shape[1]}, want 1")
     vec, end = _unpack_record(buf, offset, str(path))
     if end != len(buf):
         raise FormatError(f"{path}: {len(buf) - end} trailing bytes after payload")

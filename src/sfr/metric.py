@@ -66,13 +66,11 @@ class BatchSample:
 
 @dataclass(frozen=True)
 class TripletBatch:
-    """P identities x K images; every identity appears exactly K times. A
-    batch encoded from images carries the encoder parameters and pyramid it
-    was encoded with and, per image shape, the positions of its samples and
-    their stacked forward pass."""
+    """P identities x K images, read from the labels: every identity appears
+    equally often. A batch encoded from images carries the encoder parameters
+    and pyramid it was encoded with and, per image shape, the positions of
+    its samples and their stacked forward pass."""
 
-    subjects: int
-    images_per_subject: int
     samples: tuple[BatchSample, ...]
     params: EncoderParams | None = None
     pyramid: PyramidSpec | None = None
@@ -80,14 +78,10 @@ class TripletBatch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(self.samples))
-        p, k = self.subjects, self.images_per_subject
-        if p < 2 or k < 2:
-            raise ValueError(f"need P >= 2 and K >= 2, got P={p}, K={k}")
-        if len(self.samples) != p * k:
-            raise ValueError(f"expected {p * k} samples, got {len(self.samples)}")
         counts = Counter(s.label for s in self.samples)
-        if len(counts) != p or any(c != k for c in counts.values()):
-            raise ValueError(f"each of {p} identities must appear exactly {k} times, got {dict(counts)}")
+        sizes = set(counts.values())
+        if len(counts) < 2 or len(sizes) != 1 or min(sizes) < 2:
+            raise ValueError(f"need P >= 2 identities with the same K >= 2 images each, got {dict(counts)}")
 
 
 @dataclass(frozen=True)
@@ -219,10 +213,6 @@ def build_batch(
 ) -> TripletBatch:
     """Encode a P x K image selection into a TripletBatch, one stack per
     image shape."""
-    counts = Counter(label for label, _ in labeled_images)
-    k_values = set(counts.values())
-    if len(k_values) != 1:
-        raise ValueError(f"uneven images per identity: {dict(counts)}")
     samples: list[BatchSample | None] = [None] * len(labeled_images)
     groups = []
     for positions in group_by_shape([img.values for _, img in labeled_images]).values():
@@ -234,7 +224,7 @@ def build_batch(
             label, img = labeled_images[i]
             samples[i] = BatchSample(label, gap, spatial, img, scale)
         groups.append((tuple(positions), forward))
-    return TripletBatch(len(counts), k_values.pop(), tuple(samples), params, pyramid, tuple(groups))
+    return TripletBatch(tuple(samples), params, pyramid, tuple(groups))
 
 
 @dataclass(frozen=True)

@@ -131,26 +131,26 @@ def random_batch(rng: np.random.Generator, p: int, k: int, dim: int, max_count: 
             g = GlobalFeature(center + rng.standard_normal(dim) * 0.5)
             count = int(rng.integers(2, max_count + 1))
             samples.append(BatchSample(f"id{identity}", g, random_feature_matrix(rng, dim, count)))
-    return TripletBatch(p, k, tuple(samples))
+    return TripletBatch(tuple(samples))
 
 
-def _window_count(h: int, w: int, kernels, stride: int = 1) -> int:
+def _window_count(h: int, w: int, kernels) -> int:
     total = 0
     for k in kernels:
         if k <= min(h, w):
-            total += len(range(0, h - k + 1, stride)) * len(range(0, w - k + 1, stride))
+            total += (h - k + 1) * (w - k + 1)
     return total
 
 
-def _loop_pool_oracle(values: np.ndarray, kernels, stride: int = 1) -> np.ndarray:
+def _loop_pool_oracle(values: np.ndarray, kernels) -> np.ndarray:
     """Nested-loop sliding-window means, independent of the vectorized path."""
     c, h, w = values.shape
     cols = []
     for k in kernels:
         if k > min(h, w):
             continue
-        for i in range(0, h - k + 1, stride):
-            for j in range(0, w - k + 1, stride):
+        for i in range(h - k + 1):
+            for j in range(w - k + 1):
                 window = values[:, i:i + k, j:j + k]
                 cols.append([float(np.sum(window[ch]) / (k * k)) for ch in range(c)])
     return np.array(cols).T

@@ -27,7 +27,6 @@ class ReconstructionCoefficients:
     """M x N coefficient matrix expressing X's columns in a dictionary's columns."""
 
     matrix: np.ndarray
-    beta: float
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -35,10 +34,7 @@ class ReconstructionCoefficients:
             raise ValueError(f"coefficients must be a matrix, got shape {np.shape(self.matrix)}")
         if not np.isfinite(m).all():
             raise ValueError("coefficients contain non-finite values")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "beta", float(self.beta))
 
 
 @dataclass(frozen=True)
@@ -54,26 +50,22 @@ def _cholesky(gram: np.ndarray, beta: float) -> np.ndarray:
     """Lower Cholesky factor of a regularized Gram matrix, from LAPACK potrf
     with the arguments scipy's cho_factor passes (its upper triangle keeps
     the Gram entries). A non-finite Gram matrix, as a non-finite beta makes,
-    raises ValueError; one that is not positive definite raises
-    FactorizationError with a condition diagnostic."""
+    raises ValueError. One that is not positive definite, or whose largest
+    and smallest pivots differ by a factor of 1e4 or more (a condition
+    number of at least 1e8, where a solve can return a plausible but wrong
+    residual), raises FactorizationError with a condition diagnostic."""
     if not np.isfinite(gram).all():
         raise ValueError(f"gram matrix contains non-finite values (beta={beta})")
     factor, info = lapack.dpotrf(gram, lower=1, clean=0)
-    if info > 0:
+    # potrf can sneak past a singular matrix with a rounded pivot, so the
+    # pivot spread is checked for every beta: (max/min)^2 bounds cond below.
+    diag = np.abs(np.diag(factor))
+    if info > 0 or diag.min() <= diag.max() * 1e-4:
         cond = float(np.linalg.cond(gram))
         raise FactorizationError(
-            f"gram matrix not positive definite (beta={beta}, cond~{cond:.3e}); "
-            "use beta > 0 or a full-column-rank dictionary"
+            f"gram matrix not positive definite or numerically singular (beta={beta}, cond~{cond:.3e}); "
+            "use a larger beta or a full-column-rank dictionary"
         )
-    if beta == 0.0:
-        # potrf can sneak past an exactly singular matrix with a rounded
-        # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams.
-        diag = np.abs(np.diag(factor))
-        if diag.min() <= diag.max() * 1e-7:
-            cond = float(np.linalg.cond(gram))
-            raise FactorizationError(
-                f"gram matrix numerically singular at beta=0 (cond~{cond:.3e})"
-            )
     return factor
 
 
@@ -81,7 +73,7 @@ class DictionaryFactor:
     """Cholesky factor of (Y^T Y + beta I), reusable across many probes
     reconstructed against the same dictionary Y."""
 
-    __slots__ = ("dictionary", "beta", "_factor")
+    __slots__ = ("dictionary", "_factor")
 
     def __init__(self, dictionary: FeatureMatrix, beta: float):
         if beta < 0:
@@ -89,13 +81,12 @@ class DictionaryFactor:
         y = dictionary.columns
         self._factor = _cholesky(y.T @ y + beta * np.eye(dictionary.count), beta)
         self.dictionary = dictionary
-        self.beta = float(beta)
 
     def solve(self, x: FeatureMatrix) -> ReconstructionCoefficients:
         if x.dim != self.dictionary.dim:
             raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dictionary.dim}")
         w, _ = lapack.dpotrs(self._factor, self.dictionary.columns.T @ x.columns, lower=1)
-        return ReconstructionCoefficients(w, self.beta)
+        return ReconstructionCoefficients(w)
 
     def whitened_dictionary(self) -> np.ndarray:
         """B = Y L^{-T} (d x M) for Y^T Y + beta I = L L^T, so that the
@@ -126,8 +117,9 @@ class ReconstructionScorer:
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
       X - Y W cancellation, and the d x d operator is smaller than Y;
     - otherwise: the residual is X - Y W with Y W = B B^T X, B the
-      DictionaryFactor's whitened dictionary (which also rejects a singular
-      Gram matrix at beta = 0).
+      DictionaryFactor's whitened dictionary.
+    Both factor through _cholesky, whose pivot guard rejects a Gram matrix
+    that is singular or close to it at any beta.
     A dictionary's slice goes through the same products whatever else is
     stacked with it, so a pair's distance does not depend, bit for bit, on
     the other dictionaries in the scorer. solve() reuses the factor that

@@ -96,7 +96,6 @@ class GalleryIndex:
         self.entries = entries
         self.entry_ids = tuple(ids)
         self.alpha = float(alpha)
-        self.beta = float(beta)
         self.dim = dim
         self._globals = np.stack([e.global_feature.values for e in entries])
         self._scorer = ReconstructionScorer([e.spatial for e in entries], beta)

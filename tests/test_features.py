@@ -28,15 +28,15 @@ def random_map(rng, c, h, w):
     return SpatialFeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
 
 
-def loop_pool(values, kernels, stride=1):
+def loop_pool(values, kernels):
     """Window-enumeration oracle: plain nested loops, one column per window."""
     c, h, w = values.shape
     cols = []
     for k in kernels:
         if k > min(h, w):
             continue
-        for i in range(0, h - k + 1, stride):
-            for j in range(0, w - k + 1, stride):
+        for i in range(h - k + 1):
+            for j in range(w - k + 1):
                 cols.append(values[:, i:i + k, j:j + k].reshape(c, -1).mean(axis=1))
     return np.array(cols).T
 
@@ -191,15 +191,6 @@ class TestPyramidPool:
             expected = loop_pool(fmap.values.astype(np.float64), DEFAULT_PYRAMID.kernel_sizes)
             np.testing.assert_allclose(pyramid_pool(fmap).columns, expected, rtol=1e-6)
 
-    def test_stride_two(self):
-        rng = np.random.default_rng(11)
-        fmap = random_map(rng, 2, 7, 6)
-        spec = PyramidSpec((1, 2), stride=2)
-        expected = loop_pool(fmap.values.astype(np.float64), (1, 2), stride=2)
-        got = pyramid_pool(fmap, spec)
-        assert got.count == expected.shape[1]
-        np.testing.assert_allclose(got.columns, expected, rtol=1e-6)
-
     def test_all_kernels_too_big(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="exceeds"):
@@ -210,20 +201,17 @@ class TestPyramidPool:
             PyramidSpec((2, 2))
         with pytest.raises(ValueError):
             PyramidSpec((0, 1))
-        with pytest.raises(ValueError):
-            PyramidSpec((1, 2), stride=0)
 
 
 class TestPoolColumnsAdjoint:
     # Kernel sets include sizes above min(H, W), which pooling skips.
-    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize(
         "shape, kernels", [((3, 7, 5), (1, 2, 4, 6)), ((2, 3, 8), (1, 3, 4)), ((1, 6, 6), (2, 5, 7, 8))]
     )
-    def test_dot_product_identity(self, stride, shape, kernels):
+    def test_dot_product_identity(self, shape, kernels):
         # <pool_columns(v), dx> = <v, adjoint(dx)> for every v and dx.
         rng = np.random.default_rng(13)
-        spec = PyramidSpec(kernels, stride=stride)
+        spec = PyramidSpec(kernels)
         v = rng.standard_normal(shape)
         cols = pool_columns(v, spec)
         dx = rng.standard_normal(cols.shape)
@@ -233,7 +221,7 @@ class TestPoolColumnsAdjoint:
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_column_count(self, extra):
-        spec = PyramidSpec((1, 2), stride=2)
+        spec = PyramidSpec((1, 2))
         n = pool_columns(np.zeros((2, 5, 4)), spec).shape[1]
         with pytest.raises(MismatchError, match="columns"):
             pool_columns_adjoint(np.zeros((2, n + extra)), (2, 5, 4), spec)
@@ -242,7 +230,7 @@ class TestPoolColumnsAdjoint:
 class TestStackedPooling:
     # A leading sample axis pools, transposes and normalizes every grid of a
     # stack with the bits it gets alone.
-    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 2, 9), stride=2)])
+    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 2, 9))])
     def test_stack_matches_each_grid_alone(self, spec):
         rng = np.random.default_rng(21)
         stack = rng.standard_normal((4, 3, 7, 5))
@@ -265,7 +253,7 @@ class TestPoolFeatureMaps:
     # Maps grouped by shape and pooled in chunks come back in the order
     # given, each with the bits of pooling and normalizing it alone.
     @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 3), stride=2)])
+    @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 3))])
     def test_each_map_has_the_bits_of_pooling_it_alone(self, spec, normalize):
         rng = np.random.default_rng(31)
         shapes = [(5, 4, 3), (5, 6, 6), (5, 4, 3), (5, 2, 7), (5, 6, 6), (5, 1, 1)]
@@ -287,7 +275,6 @@ class TestPoolFeatureMaps:
             np.testing.assert_array_equal(gap.values, global_average_pool(fmap).values)
             np.testing.assert_array_equal(matrix.columns, alone.columns)
             assert matrix.degenerate_columns == alone.degenerate_columns
-            assert matrix.normalized == normalize
             degenerate += len(matrix.degenerate_columns)
         assert (degenerate > 0) == normalize
 
@@ -310,11 +297,6 @@ class TestNormalization:
         assert normalized.degenerate_columns == (1,)
         np.testing.assert_allclose(normalized.columns[:, 1], 0.0)
         np.testing.assert_allclose(np.linalg.norm(normalized.columns[:, 0]), 1.0)
-        assert normalized.normalized
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="unit length"):
-            FeatureMatrix(np.array([[2.0], [0.0]]), normalized=True)
 
 
 class TestTypeInvariants:
@@ -359,4 +341,15 @@ class TestPooledContainer:
         )
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
+            load_pooled(path)
+
+    def test_spatial_record_of_height_above_one(self, tmp_path):
+        # The first row alone of a (3, 2, 4) record is a plausible 3 x 4 matrix.
+        rng = np.random.default_rng(15)
+        path = tmp_path / "pooled.sfrf"
+        save_feature_map(SpatialFeatureMap(rng.standard_normal((3, 2, 4)).astype(np.float32)), path)
+        tail = tmp_path / "global.sfrf"
+        save_feature_map(SpatialFeatureMap(rng.standard_normal((3, 1, 1)).astype(np.float32)), tail)
+        path.write_bytes(path.read_bytes() + tail.read_bytes())
+        with pytest.raises(FormatError, match=r"\(3, 2, 4\)"):
             load_pooled(path)

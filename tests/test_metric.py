@@ -42,7 +42,7 @@ def line_batch():
         BatchSample("b", gf([4.0, 0.0, 0.0]), spatial),
         BatchSample("b", gf([9.0, 0.0, 0.0]), spatial),
     )
-    return TripletBatch(2, 2, samples)
+    return TripletBatch(samples)
 
 
 class TestEuclideanDistance:
@@ -106,7 +106,7 @@ class TestBatchHardMine:
         samples = tuple(
             BatchSample(label, g, spatial) for label in ("a", "a", "a", "b", "b", "b")
         )
-        batch = TripletBatch(2, 3, samples)
+        batch = TripletBatch(samples)
         mined = batch_hard_mine(batch, BETA)
         # all candidates tie, so the lowest index wins everywhere
         assert mined[0].positive_idx == 1 and mined[0].negative_idx == 3
@@ -129,11 +129,11 @@ class TestBatchHardMine:
             BatchSample("b", gf([-1e200, 0.0, 0.0]), spatial),
         )
         with np.errstate(over="ignore"):
-            mined = batch_hard_mine(TripletBatch(2, 2, samples), BETA)
+            mined = batch_hard_mine(TripletBatch(samples), BETA)
         assert (mined[0].positive_idx, mined[0].negative_idx) == (2, 1)
         assert mined[0].negative_distance == np.inf
         with np.errstate(over="ignore"):
-            assert exhaustive_mine(TripletBatch(2, 2, samples), BETA) == mined
+            assert exhaustive_mine(TripletBatch(samples), BETA) == mined
         for t in mined:
             assert samples[t.positive_idx].label == samples[t.anchor_idx].label != samples[t.negative_idx].label
             assert t.positive_idx != t.anchor_idx
@@ -158,16 +158,12 @@ class TestBatchHardMine:
         batch = random_batch(rng, 3, 3, 4)
         mined = batch_hard_mine(batch, BETA)
         perm = rng.permutation(len(batch.samples))
-        permuted = TripletBatch(
-            batch.subjects,
-            batch.images_per_subject,
-            tuple(batch.samples[i] for i in perm),
-        )
+        permuted = TripletBatch(tuple(batch.samples[i] for i in perm))
         inverse = np.argsort(perm)
         mined_p = batch_hard_mine(permuted, BETA)
         for a, t in enumerate(mined):
             tp = mined_p[inverse[a]]
-            assert perm[tp.positive_idx] == perm[tp.positive_idx]  # sanity on the mapping
+            assert (tp.positive_distance, tp.negative_distance) == (t.positive_distance, t.negative_distance)
             assert (t.positive_idx, t.negative_idx) == (
                 int(perm[tp.positive_idx]),
                 int(perm[tp.negative_idx]),
@@ -177,13 +173,13 @@ class TestBatchHardMine:
         rng = np.random.default_rng(8)
         spatial = fm(rng.standard_normal((2, 2)))
         s = BatchSample("a", gf([0.0, 0.0]), spatial)
+        b = BatchSample("b", gf([1.0, 0.0]), spatial)
         with pytest.raises(ValueError):
-            TripletBatch(1, 2, (s, s))  # P < 2
+            TripletBatch((s, s))  # P < 2
         with pytest.raises(ValueError):
-            TripletBatch(2, 2, (s, s, s))  # wrong count
-        bad = (s, s, s, BatchSample("b", gf([1.0, 0.0]), spatial))
+            TripletBatch((s, b))  # K < 2
         with pytest.raises(ValueError):
-            TripletBatch(2, 2, bad)  # identity counts uneven
+            TripletBatch((s, s, s, b))  # identity counts uneven
 
 
 class TestTripletLoss:
@@ -195,7 +191,7 @@ class TestTripletLoss:
             BatchSample("b", gf([9.0, 0.0, 0.0, 0.0]), spatial),
             BatchSample("b", gf([9.1, 0.0, 0.0, 0.0]), spatial),
         )
-        report = sfr_triplet_loss(TripletBatch(2, 2, near), BETA, 0.3)
+        report = sfr_triplet_loss(TripletBatch(near), BETA, 0.3)
         assert report.total_loss == 0.0
         assert report.active_triplets == 0
 
@@ -213,7 +209,7 @@ class TestTripletLoss:
         spatial = fm(rng.standard_normal((3, 2)))
         g = gf([1.0, 2.0, 3.0])
         samples = tuple(BatchSample(l, g, spatial) for l in ("a", "a", "b", "b"))
-        report = sfr_triplet_loss(TripletBatch(2, 2, samples), BETA, 0.0)
+        report = sfr_triplet_loss(TripletBatch(samples), BETA, 0.0)
         assert report.total_loss == 0.0
 
     def test_report_invariants(self):
@@ -434,8 +430,8 @@ class TestShapeGroupsKeepTheBits:
     # every sample the bits of its own one-image stack.
     @pytest.mark.parametrize(
         "normalize, pyramid",
-        [(True, PyramidSpec()), (False, PyramidSpec((1, 2, 8), stride=2))],
-        ids=["normalized-default", "raw-stride2-skipped-kernel"],
+        [(True, PyramidSpec()), (False, PyramidSpec((1, 2, 8)))],
+        ids=["normalized-default", "raw-skipped-kernel"],
     )
     def test_batch_and_gradients_match_the_one_sample_path(self, monkeypatch, normalize, pyramid):
         import sfr.metric as metric_mod

@@ -136,14 +136,14 @@ class TestGradients:
     def test_zero_residual_gives_zero_gradients(self):
         rng = np.random.default_rng(7)
         xo = fm(rng.standard_normal((4, 3)))
-        w = ReconstructionCoefficients(rng.standard_normal((3, 2)), 0.01)
+        w = ReconstructionCoefficients(rng.standard_normal((3, 2)))
         xa = fm(xo.columns @ w.matrix)
         grad_a, grad_o = sfr_gradients(xa, xo, w)
         np.testing.assert_allclose(grad_a, 0.0, atol=1e-14)
         np.testing.assert_allclose(grad_o, 0.0, atol=1e-14)
 
     def test_scalar_case(self):
-        w = ReconstructionCoefficients(np.array([[1.998002]]), 0.001)
+        w = ReconstructionCoefficients(np.array([[1.998002]]))
         grad_a, grad_o = sfr_gradients(fm([[2.0]]), fm([[1.0]]), w)
         np.testing.assert_allclose(grad_a, [[0.003996]], atol=1e-6)
         np.testing.assert_allclose(grad_o, [[-0.007984]], atol=1e-6)
@@ -168,7 +168,7 @@ class TestGradients:
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(8)
-        w = ReconstructionCoefficients(rng.standard_normal((5, 3)), 0.01)
+        w = ReconstructionCoefficients(rng.standard_normal((5, 3)))
         with pytest.raises(MismatchError):
             sfr_gradients(fm(rng.standard_normal((4, 3))), fm(rng.standard_normal((4, 4))), w)
 
@@ -354,3 +354,55 @@ class TestDirectLapack:
                 ReconstructionScorer([y], beta)
             with pytest.raises(ValueError, match="non-finite"):
                 solve_coefficients(fm(rng.standard_normal((d, 2))), y, beta)
+
+
+def low_rank_unit(rng, d, rank, m):
+    # Y = A B with A d x rank and B rank x m, then each column scaled to unit
+    # length: a dictionary of the given rank.
+    y = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, m))
+    return y / np.linalg.norm(y, axis=0)
+
+
+def augmented_distance(x, y, beta):
+    # Least squares on [Y; sqrt(beta) I] W ~ [X; 0]: the ridge minimizer
+    # without forming the Gram matrix, so its accuracy does not hinge on the
+    # Gram's conditioning.
+    m = y.shape[1]
+    w = np.linalg.lstsq(
+        np.vstack([y, np.sqrt(beta) * np.eye(m)]), np.vstack([x, np.zeros((m, x.shape[1]))]), rcond=None
+    )[0]
+    return float(np.linalg.norm(x - y @ w, axis=0).mean())
+
+
+class TestPivotGuard:
+    # Near a singular Gram matrix the scorer either raises FactorizationError
+    # or returns the distance that the augmented least-squares route gives,
+    # for every beta.
+    @pytest.mark.parametrize("d, m", [(32, 122), (64, 14), (8, 30), (16, 16)])
+    def test_raises_or_agrees_with_augmented_least_squares(self, d, m):
+        full = min(d, m)
+        for rank in (full, full - 1, full // 2, 2):
+            for seed in range(3):
+                for beta in (0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
+                    rng = np.random.default_rng(seed)
+                    y = low_rank_unit(rng, d, rank, m)
+                    x = rng.standard_normal((d, 20))
+                    x /= np.linalg.norm(x, axis=0)
+                    try:
+                        r = ReconstructionScorer([fm(y)], beta).distances(fm(x))[0]
+                    except FactorizationError:
+                        continue
+                    assert abs(r - augmented_distance(x, y, beta)) <= 1e-6, (rank, seed, beta)
+
+    def test_tiny_beta_on_a_near_singular_gram_raises(self):
+        # The pivots here span about 5e6, short of a 1e7 rule, and at
+        # beta = 1e-15 the dual route returns 0.2378 for a true 0.1274.
+        rng = np.random.default_rng(0)
+        y = low_rank_unit(rng, 32, 31, 122)
+        x = rng.standard_normal((32, 20))
+        x /= np.linalg.norm(x, axis=0)
+        for beta in (0.0, 1e-15, 1e-10):
+            with pytest.raises(FactorizationError, match=r"singular.*beta=.*cond~"):
+                ReconstructionScorer([fm(y)], beta)
+        r = ReconstructionScorer([fm(y)], 1e-9).distances(fm(x))[0]
+        assert abs(r - augmented_distance(x, y, 1e-9)) <= 1e-6
