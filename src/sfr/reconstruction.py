@@ -46,26 +46,19 @@ class ReconstructionResult:
     distance: float
 
 
-def _cholesky(gram: np.ndarray, beta: float) -> np.ndarray:
+def _cholesky(gram: np.ndarray, beta: float, min_pivot_ratio: float) -> np.ndarray | None:
     """Lower Cholesky factor of a regularized Gram matrix, from LAPACK potrf
     with the arguments scipy's cho_factor passes (its upper triangle keeps
-    the Gram entries). A non-finite Gram matrix, as a non-finite beta makes,
-    raises ValueError. One that is not positive definite, or whose largest
-    and smallest pivots differ by a factor of 1e4 or more (a condition
-    number of at least 1e8, where a solve can return a plausible but wrong
-    residual), raises FactorizationError with a condition diagnostic."""
+    the Gram entries), or None when the matrix is not positive definite or
+    its smallest pivot is at most min_pivot_ratio times its largest
+    ((max/min)^2 bounds the condition number below). A non-finite Gram
+    matrix, as a non-finite beta makes, raises ValueError."""
     if not np.isfinite(gram).all():
         raise ValueError(f"gram matrix contains non-finite values (beta={beta})")
     factor, info = lapack.dpotrf(gram, lower=1, clean=0)
-    # potrf can sneak past a singular matrix with a rounded pivot, so the
-    # pivot spread is checked for every beta: (max/min)^2 bounds cond below.
     diag = np.abs(np.diag(factor))
-    if info > 0 or diag.min() <= diag.max() * 1e-4:
-        cond = float(np.linalg.cond(gram))
-        raise FactorizationError(
-            f"gram matrix not positive definite or numerically singular (beta={beta}, cond~{cond:.3e}); "
-            "use a larger beta or a full-column-rank dictionary"
-        )
+    if info > 0 or diag.min() <= diag.max() * min_pivot_ratio:
+        return None
     return factor
 
 
@@ -79,7 +72,18 @@ class DictionaryFactor:
         if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         y = dictionary.columns
-        self._factor = _cholesky(y.T @ y + beta * np.eye(dictionary.count), beta)
+        gram = y.T @ y + beta * np.eye(dictionary.count)
+        # potrf can sneak past an exactly singular matrix with a rounded
+        # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams. At
+        # beta > 0 a rank-deficient Y leaves tiny pivots in directions that
+        # Y W does not reach, so the distance stays exact and no bound applies.
+        factor = _cholesky(gram, beta, 1e-7 if beta == 0.0 else 0.0)
+        if factor is None:
+            raise FactorizationError(
+                f"gram matrix not positive definite or numerically singular "
+                f"(beta={beta}, cond~{float(np.linalg.cond(gram)):.3e}); use a larger beta"
+            )
+        self._factor = factor
         self.dictionary = dictionary
 
     def solve(self, x: FeatureMatrix) -> ReconstructionCoefficients:
@@ -95,13 +99,22 @@ class DictionaryFactor:
         return b_t.T
 
 
-def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarray:
+def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarray | None:
     """A = beta (Y Y^T + beta I)^{-1} (d x d) for beta > 0: the residual of X
     against Y is A X. A is symmetrized once, so X^T A is the residual's
-    transpose up to the rounding of the product."""
+    transpose up to the rounding of the product.
+
+    A's rounding error is about eps * cond(K) relative to X, and cond(K)
+    reaches ||Y||^2 / beta when Y's rank is below d: at beta = 1e-15 a
+    rank-31 32 x 122 unit-column Y gave r = 0.2378 for a true 0.1274. So
+    None is returned, for the primal form to score Y, unless K's pivots
+    differ by a factor below 1e4 (a condition number below 1e8)."""
     y = dictionary.columns
     identity = np.eye(dictionary.dim)
-    k_inv, _ = lapack.dpotrs(_cholesky(y @ y.T + beta * identity, beta), identity, lower=1)
+    factor = _cholesky(y @ y.T + beta * identity, beta, 1e-4)
+    if factor is None:
+        return None
+    k_inv, _ = lapack.dpotrs(factor, identity, lower=1)
     a = beta * k_inv
     return 0.5 * (a + a.T)
 
@@ -112,14 +125,16 @@ class ReconstructionScorer:
 
     Dictionaries are grouped by column count M, and each group stacks one
     operator per dictionary and is scored with batched matrix products:
-    - dual (beta > 0, d < M): the residual is A X with A = beta K^{-1},
-      K = Y Y^T + beta I, because
+    - dual (beta > 0, d < M, and K's pivots within a factor of 1e4): the
+      residual is A X with A = beta K^{-1}, K = Y Y^T + beta I, because
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
       X - Y W cancellation, and the d x d operator is smaller than Y;
-    - otherwise: the residual is X - Y W with Y W = B B^T X, B the
-      DictionaryFactor's whitened dictionary.
-    Both factor through _cholesky, whose pivot guard rejects a Gram matrix
-    that is singular or close to it at any beta.
+    - otherwise (primal): the residual is X - Y W with Y W = B B^T X, B
+      the DictionaryFactor's whitened dictionary, which rejects a singular
+      Gram matrix at beta = 0.
+    A K too ill-conditioned for the dual form, where its rounding could
+    return a plausible but wrong distance, sends its dictionary to the
+    primal form, which stays exact there.
     A dictionary's slice goes through the same products whatever else is
     stacked with it, so a pair's distance does not depend, bit for bit, on
     the other dictionaries in the scorer. solve() reuses the factor that
@@ -146,16 +161,25 @@ class ReconstructionScorer:
         # reduces a contiguous row.
         self._groups = []
         for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
-            dual = beta > 0 and dim < count
-            shape = (dim, dim) if dual else (dim, count)
-            operators = np.empty((len(positions),) + shape)
-            for k, i in enumerate(positions):
-                if dual:
-                    operators[k] = _dual_residual_operator(dictionaries[i], beta)
-                else:
+            # Operators are written into preallocated stacks, as a list of
+            # them and its stacked copy would double the peak memory.
+            dual_ops = np.empty((len(positions), dim, dim)) if beta > 0 and dim < count else None
+            dual_ids, primal_ids = [], []
+            for i in positions:
+                a = None if dual_ops is None else _dual_residual_operator(dictionaries[i], beta)
+                if a is None:
                     self._factors[i] = DictionaryFactor(dictionaries[i], beta)
+                    primal_ids.append(i)
+                else:
+                    dual_ops[len(dual_ids)] = a
+                    dual_ids.append(i)
+            if dual_ids:
+                self._groups.append((np.array(dual_ids), True, dual_ops[: len(dual_ids)]))
+            if primal_ids:
+                operators = np.empty((len(primal_ids), dim, count))
+                for k, i in enumerate(primal_ids):
                     operators[k] = self._factors[i].whitened_dictionary()
-            self._groups.append((np.asarray(positions), dual, operators))
+                self._groups.append((np.array(primal_ids), False, operators))
 
     def solve(self, j: int, x: FeatureMatrix) -> ReconstructionCoefficients:
         """Ridge coefficients of x against dictionary j, the bits of

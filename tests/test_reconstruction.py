@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfr.errors import FactorizationError, MismatchError
-from sfr.features import FeatureMatrix, l2_normalize_columns
+from sfr.features import FeatureMatrix, SpatialFeatureMap, l2_normalize_columns, pyramid_pool
 from sfr.oracle import finite_difference, relative_error, ridge_oracle
 from sfr.reconstruction import (
     ReconstructionCoefficients,
@@ -375,9 +375,10 @@ def augmented_distance(x, y, beta):
 
 
 class TestPivotGuard:
-    # Near a singular Gram matrix the scorer either raises FactorizationError
-    # or returns the distance that the augmented least-squares route gives,
-    # for every beta.
+    # A dual operator whose K is near singular sends its dictionary to the
+    # primal form, which scores it as the augmented least-squares route does
+    # or raises FactorizationError. Only a Gram matrix that is singular at
+    # beta = 0, or one whose beta is below its rounding, may be rejected.
     @pytest.mark.parametrize("d, m", [(32, 122), (64, 14), (8, 30), (16, 16)])
     def test_raises_or_agrees_with_augmented_least_squares(self, d, m):
         full = min(d, m)
@@ -391,18 +392,47 @@ class TestPivotGuard:
                     try:
                         r = ReconstructionScorer([fm(y)], beta).distances(fm(x))[0]
                     except FactorizationError:
+                        assert rank < m and beta < 1e-13, (rank, seed, beta)
                         continue
                     assert abs(r - augmented_distance(x, y, beta)) <= 1e-6, (rank, seed, beta)
 
-    def test_tiny_beta_on_a_near_singular_gram_raises(self):
-        # The pivots here span about 5e6, short of a 1e7 rule, and at
-        # beta = 1e-15 the dual route returns 0.2378 for a true 0.1274.
+    def test_near_singular_dual_gram_is_scored_in_the_primal_form(self):
+        # K's pivots here span 5e6, 4e5 and 1.2e4 at beta = 1e-15, 1e-13 and
+        # 1e-10, where the dual form returned 0.2378, 0.1278 and 0.12738259
+        # for a true 0.12738293.
         rng = np.random.default_rng(0)
         y = low_rank_unit(rng, 32, 31, 122)
         x = rng.standard_normal((32, 20))
         x /= np.linalg.norm(x, axis=0)
-        for beta in (0.0, 1e-15, 1e-10):
+        for beta in (0.0, 1e-15):
             with pytest.raises(FactorizationError, match=r"singular.*beta=.*cond~"):
                 ReconstructionScorer([fm(y)], beta)
-        r = ReconstructionScorer([fm(y)], 1e-9).distances(fm(x))[0]
-        assert abs(r - augmented_distance(x, y, 1e-9)) <= 1e-6
+        for beta in (1e-13, 1e-10):
+            r = ReconstructionScorer([fm(y)], beta).distances(fm(x))[0]
+            assert r == pytest.approx(augmented_distance(x, y, beta), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("gallery_hw", [(3, 3), (6, 6)], ids=["primal-M14", "dual-shape-M86"])
+    def test_raw_scale_maps_at_the_default_beta_are_scored_exactly(self, gallery_hw):
+        # Unnormalized maps near 100 with the default pyramid: every pooled
+        # dictionary is rank-deficient (each window averages k = 1 columns),
+        # so cond(G) is about ||Y||^2 / beta ~ 1e10. The 64 x 6 x 6 map takes
+        # the dual shape (d = 64 < M = 86, rank 36), where the dual form was
+        # off by 6e-8 relative.
+        rng = np.random.default_rng(5)
+        gallery = pyramid_pool(SpatialFeatureMap(rng.gamma(2.0, 0.5, (64, *gallery_hw)) * 100))
+        probe = pyramid_pool(SpatialFeatureMap(rng.gamma(2.0, 0.5, (64, 2, 3)) * 100))
+        r = ReconstructionScorer([gallery], 1e-3).distances(probe)[0]
+        assert r == pytest.approx(augmented_distance(probe.columns, gallery.columns, 1e-3), rel=1e-12, abs=0)
+
+    def test_dual_and_primal_forms_in_one_group_keep_each_pairs_bits(self):
+        # Two dictionaries of the same shape, one well conditioned for the
+        # dual form and one sent to the primal form: each pair's distance
+        # has the bits it has alone.
+        rng = np.random.default_rng(0)
+        ys = [fm(unit) for unit in (low_rank_unit(rng, 32, 32, 122), low_rank_unit(rng, 32, 31, 122))]
+        x = fm(rng.standard_normal((32, 20)))
+        scorer = ReconstructionScorer(ys, 1e-12)
+        assert sorted(dual for _, dual, _ in scorer._groups) == [False, True]
+        together = scorer.distances(x)
+        for y, r in zip(ys, together):
+            assert ReconstructionScorer([y], 1e-12).distances(x)[0] == r
