@@ -26,11 +26,11 @@ import numpy as np
 
 from .encoder import encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
+from .features import FeatureMatrix, GlobalFeature, PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
-    GalleryEntry,
+    GalleryIndex,
     RetrievalRanking,
     build_gallery,
     evaluate,
@@ -77,11 +77,11 @@ class RunConfig:
             raise ValueError(f"need p >= 2 and k >= 2, got p={self.p}, k={self.k}")
         if self.epochs < 0 or self.lr < 0 or self.workers < 1:
             raise ValueError("epochs and lr must be nonnegative, workers >= 1")
-        self._schedule()  # format validation
+        self.learning_rate(0)  # schedule format validation
 
-    def _schedule(self):
+    def learning_rate(self, epoch: int) -> float:
         if self.lr_schedule == "constant":
-            return lambda epoch: self.lr
+            return self.lr
         parts = self.lr_schedule.split(":")
         if len(parts) == 3 and parts[0] == "step":
             try:
@@ -90,11 +90,8 @@ class RunConfig:
                 raise ValueError(f"bad lr schedule {self.lr_schedule!r}") from exc
             if not 0 < factor <= 1 or interval < 1:
                 raise ValueError(f"bad lr schedule {self.lr_schedule!r}")
-            return lambda epoch: self.lr * factor ** (epoch // interval)
+            return self.lr * factor ** (epoch // interval)
         raise ValueError(f"bad lr schedule {self.lr_schedule!r} (want 'constant' or 'step:<factor>:<interval>')")
-
-    def learning_rate(self, epoch: int) -> float:
-        return self._schedule()(epoch)
 
     def pyramid(self) -> PyramidSpec:
         return PyramidSpec(self.kernels)
@@ -160,25 +157,26 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-def _pooled_entries(labels, fmaps, cfg: RunConfig) -> list[GalleryEntry]:
-    """Gallery entries or probes from (entry id, subject id) labels and their
-    feature maps: each map's global average and its pyramid-pooled columns,
-    normalized when cfg says so, pooled per map shape."""
-    pooled = pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)
-    return [GalleryEntry(eid, sid, g, m) for (eid, sid), (g, m) in zip(labels, pooled)]
-
-
-def _load_entries(manifest, manifest_path, cfg: RunConfig) -> list[GalleryEntry]:
-    # A relative map path is relative to the manifest; an absolute one replaces the base.
+def _load_pooled(manifest, manifest_path, cfg: RunConfig) -> dict[str, tuple[GlobalFeature, FeatureMatrix]]:
+    """A manifest's {entry id: (global, spatial)}: each map's global average
+    and its pyramid-pooled columns, normalized when cfg says so, pooled per
+    map shape. A relative map path is relative to the manifest; an absolute
+    one replaces the base."""
     base = Path(manifest_path).resolve().parent
     fmaps = [load_feature_map(base / m.path) for m in manifest]
-    return _pooled_entries([(m.entry_id, m.subject_id) for m in manifest], fmaps, cfg)
+    return dict(zip((m.entry_id for m in manifest), pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)))
+
+
+def _rank(gallery: GalleryIndex, probes: dict[str, tuple[GlobalFeature, FeatureMatrix]]) -> list[RetrievalRanking]:
+    """Each probe of {probe id: (global, spatial)} ranked against the gallery,
+    in the mapping's order."""
+    return [match_probe(pooled, gallery, probe_id) for probe_id, pooled in probes.items()]
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
-    (entry,) = _pooled_entries([("", "")], [load_feature_map(args.input)], cfg)
-    save_pooled(args.out, entry.spatial, entry.global_feature)
-    print(f"{entry.spatial.count} columns")
+    ((global_feature, spatial),) = pool_feature_maps([load_feature_map(args.input)], cfg.pyramid(), cfg.normalize)
+    save_pooled(args.out, spatial, global_feature)
+    print(f"{spatial.count} columns")
     return 0
 
 
@@ -245,10 +243,8 @@ def cmd_match(args, cfg: RunConfig) -> int:
     probe_manifest = load_manifest(args.probes)
     truth = {m.entry_id: m.subject_id for m in probe_manifest}
     subject_of = {m.entry_id: m.subject_id for m in gallery_manifest}
-    gallery = build_gallery(_load_entries(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
-    probes = _load_entries(probe_manifest, args.probes, cfg)
-
-    rankings = [match_probe((e.global_feature, e.spatial), gallery, e.entry_id) for e in probes]
+    gallery = build_gallery(_load_pooled(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
+    rankings = _rank(gallery, _load_pooled(probe_manifest, args.probes, cfg))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,15 +268,15 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
     def pooled(pool, prefix):
+        # ({view id: subject id}, {view id: (global, spatial)}) of one pool's views
         views = [(label, i, img) for label, imgs in sorted(pool.items()) for i, img in enumerate(imgs)]
-        labels = [(f"{prefix}{label}_{i}", str(label)) for label, i, _ in views]
-        return _pooled_entries(labels, [encode(img, params) for _, _, img in views], cfg)
+        subjects = {f"{prefix}{label}_{i}": str(label) for label, i, _ in views}
+        fmaps = [encode(img, params) for _, _, img in views]
+        return subjects, dict(zip(subjects, pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)))
 
-    entries, probes = pooled(gallery_pool, "g"), pooled(probe_pool, "p")
-    gallery = build_gallery(entries, cfg.alpha, cfg.beta)
-    rankings = [match_probe((e.global_feature, e.spatial), gallery, e.entry_id) for e in probes]
-    truth = {e.entry_id: e.subject_id for e in probes}
-    subject_of = {e.entry_id: e.subject_id for e in entries}
+    subject_of, entries = pooled(gallery_pool, "g")
+    truth, probes = pooled(probe_pool, "p")
+    rankings = _rank(build_gallery(entries, cfg.alpha, cfg.beta), probes)
     return evaluate(rankings, truth, subject_of).rank_k(1)
 
 

@@ -94,18 +94,6 @@ class ToyImage:
             raise ValueError("pixel values must be finite and within [0, 1]")
         object.__setattr__(self, "values", _freeze(v))
 
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
 
 @dataclass(frozen=True)
 class LayerGradients:

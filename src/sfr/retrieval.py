@@ -20,14 +20,6 @@ from .reconstruction import ReconstructionScorer
 
 
 @dataclass(frozen=True)
-class GalleryEntry:
-    entry_id: str
-    subject_id: str
-    global_feature: GlobalFeature
-    spatial: FeatureMatrix
-
-
-@dataclass(frozen=True)
 class ScoredEntry:
     entry_id: str
     global_dist: float
@@ -80,29 +72,27 @@ class GalleryIndex:
     reconstruction scorer built over their dictionaries, so concurrent
     probes share the factorization work."""
 
-    def __init__(self, entries: tuple[GalleryEntry, ...], alpha: float, beta: float):
+    def __init__(self, entries: dict[str, tuple[GlobalFeature, FeatureMatrix]], alpha: float, beta: float):
         if not entries:
             raise ValueError("gallery must be nonempty")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        ids = [e.entry_id for e in entries]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate entry ids: {dupes}")
-        dim = entries[0].global_feature.dim
-        for e in entries:
-            if e.global_feature.dim != dim or e.spatial.dim != dim:
-                raise MismatchError(f"entry {e.entry_id}: feature dim differs from gallery dim {dim}")
-        self.entries = entries
-        self.entry_ids = tuple(ids)
+        dim = next(iter(entries.values()))[0].dim
+        for entry_id, (global_feature, spatial) in entries.items():
+            if global_feature.dim != dim or spatial.dim != dim:
+                raise MismatchError(f"entry {entry_id}: feature dim differs from gallery dim {dim}")
+        self.entry_ids = tuple(entries)
         self.alpha = float(alpha)
         self.dim = dim
-        self._globals = np.stack([e.global_feature.values for e in entries])
-        self._scorer = ReconstructionScorer([e.spatial for e in entries], beta)
+        self._globals = np.stack([g.values for g, _ in entries.values()])
+        self._scorer = ReconstructionScorer([m for _, m in entries.values()], beta)
 
 
-def build_gallery(entries, alpha: float, beta: float) -> GalleryIndex:
-    return GalleryIndex(tuple(entries), alpha, beta)
+def build_gallery(
+    entries: dict[str, tuple[GlobalFeature, FeatureMatrix]], alpha: float, beta: float
+) -> GalleryIndex:
+    """A gallery over {entry id: (global, spatial)}, in the mapping's order."""
+    return GalleryIndex(entries, alpha, beta)
 
 
 def match_probe(

@@ -32,7 +32,6 @@ from sfr.oracle import (
 )
 from sfr.reconstruction import sfr_distance, sfr_gradients, solve_coefficients
 from sfr.retrieval import (
-    GalleryEntry,
     ManifestEntry,
     RetrievalRanking,
     build_gallery,
@@ -172,15 +171,13 @@ def test_criterion_5_pyramid_geometry():
 def test_criterion_6_fusion_endpoints():
     start = time.monotonic()
     rng = np.random.default_rng(6)
-    entries = [
-        GalleryEntry(
-            f"g{i}",
-            f"s{i}",
+    entries = {
+        f"g{i}": (
             GlobalFeature(rng.standard_normal(8)),
             FeatureMatrix(rng.standard_normal((8, int(rng.integers(2, 7))))),
         )
         for i in range(50)
-    ]
+    }
     probes = [
         (GlobalFeature(rng.standard_normal(8)), FeatureMatrix(rng.standard_normal((8, 5))))
         for _ in range(20)
@@ -192,10 +189,10 @@ def test_criterion_6_fusion_endpoints():
         for probe in probes:
             ranking = match_probe(probe, gallery, "p")
             if key == "global":
-                ref = [euclidean_distance(probe[0], e.global_feature) for e in entries]
+                ref = [euclidean_distance(probe[0], g) for g, _ in entries.values()]
             else:
-                ref = [sfr_distance(probe[1], e.spatial, 0.001).distance for e in entries]
-            expected = [entries[i].entry_id for i in np.argsort(ref, kind="stable")]
+                ref = [sfr_distance(probe[1], m, 0.001).distance for _, m in entries.values()]
+            expected = [list(entries)[i] for i in np.argsort(ref, kind="stable")]
             assert [s.entry_id for s in ranking.scored] == expected
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

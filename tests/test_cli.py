@@ -351,6 +351,31 @@ class TestConfigHandling:
     def test_unknown_command_exit_2(self):
         assert main(["frobnicate"]) == 2
 
+    POOL = ["pool", "--input", "map.sfrf", "--out", "p.sfrf"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (POOL + ["--p", "1"], "need p >= 2 and k >= 2"),
+        (POOL + ["--k", "1"], "need p >= 2 and k >= 2"),
+        (POOL + ["--epochs", "-1"], "epochs and lr must be nonnegative"),
+        (POOL + ["--lr", "-1"], "epochs and lr must be nonnegative"),
+        (POOL + ["--workers", "0"], "workers >= 1"),
+        (POOL + ["--lr-schedule", "step:x:1"], "bad lr schedule 'step:x:1'"),
+        (POOL + ["--lr-schedule", "step:2:1"], "bad lr schedule 'step:2:1'"),
+        (POOL + ["--lr-schedule", "step:0.5:0"], "bad lr schedule 'step:0.5:0'"),
+        (POOL + ["--config", "not.json"], "not.json: Expecting value"),
+        (POOL + ["--kernels", "1,a"], "bad kernel list '1,a'"),
+        (["eval", "--rankings", "header.csv", "--truth", "m.jsonl", "--gallery", "m.jsonl", "--out", "ev"],
+         "no ranking rows"),
+    ])
+    def test_input_error_exit_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_map(tmp_path / "map.sfrf", np.random.default_rng(50))
+        (tmp_path / "not.json").write_text("alpha = 0.5\n")
+        write_manifest(tmp_path / "m.jsonl", [ManifestEntry("g0", "s0", "map.sfrf")])
+        (tmp_path / "header.csv").write_text("probeId,rank,entryId,d,r,s\n")
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 def test_every_exported_name_resolves():
     import sfr

@@ -353,3 +353,15 @@ class TestPooledContainer:
         path.write_bytes(path.read_bytes() + tail.read_bytes())
         with pytest.raises(FormatError, match=r"\(3, 2, 4\)"):
             load_pooled(path)
+
+    def test_global_record_of_another_dim(self, tmp_path):
+        # A 3-dim spatial record followed by a 4-dim global one.
+        rng = np.random.default_rng(16)
+        path = tmp_path / "pooled.sfrf"
+        save_pooled(
+            path,
+            FeatureMatrix(rng.standard_normal((3, 5)).astype(np.float32)),
+            GlobalFeature(rng.standard_normal(4).astype(np.float32)),
+        )
+        with pytest.raises(FormatError, match=r"global record shape \(4, 1, 1\) does not match dim 3"):
+            load_pooled(path)

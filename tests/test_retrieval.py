@@ -8,7 +8,6 @@ from sfr.features import FeatureMatrix, GlobalFeature
 from sfr.metric import euclidean_distance
 from sfr.reconstruction import sfr_distance
 from sfr.retrieval import (
-    GalleryEntry,
     RetrievalRanking,
     build_gallery,
     evaluate,
@@ -22,19 +21,18 @@ from sfr.retrieval import (
 BETA = 0.001
 
 
-def random_entry(rng, entry_id, subject_id, dim=6, count=None):
+def random_pooled(rng, dim=6, count=None):
+    """A random (global, spatial) pair for one gallery entry."""
     count = count or int(rng.integers(2, 7))
-    return GalleryEntry(
-        entry_id,
-        subject_id,
-        GlobalFeature(rng.standard_normal(dim)),
-        FeatureMatrix(rng.standard_normal((dim, count))),
-    )
+    return GlobalFeature(rng.standard_normal(dim)), FeatureMatrix(rng.standard_normal((dim, count)))
+
+
+def random_entries(rng, n, dim=6):
+    return {f"g{i}": random_pooled(rng, dim) for i in range(n)}
 
 
 def random_gallery(rng, n, alpha=0.7, dim=6):
-    entries = [random_entry(rng, f"g{i}", f"s{i}", dim) for i in range(n)]
-    return build_gallery(entries, alpha, BETA)
+    return build_gallery(random_entries(rng, n, dim), alpha, BETA)
 
 
 def fake_ranking(probe_id, order):
@@ -45,35 +43,29 @@ def fake_ranking(probe_id, order):
 class TestBuildGallery:
     def test_singleton(self):
         rng = np.random.default_rng(0)
-        g = build_gallery([random_entry(rng, "a", "s")], 0.5, BETA)
-        assert len(g.entries) == 1
-
-    def test_duplicate_ids_rejected(self):
-        rng = np.random.default_rng(1)
-        entries = [random_entry(rng, "a", "s1"), random_entry(rng, "a", "s2")]
-        with pytest.raises(ValueError, match="duplicate"):
-            build_gallery(entries, 0.5, BETA)
+        g = build_gallery({"a": random_pooled(rng)}, 0.5, BETA)
+        assert g.entry_ids == ("a",)
 
     def test_order_preserved(self):
         rng = np.random.default_rng(2)
-        entries = [random_entry(rng, f"e{i}", f"s{i}") for i in range(100)]
+        entries = {f"e{i}": random_pooled(rng) for i in range(100)}
         g = build_gallery(entries, 0.5, BETA)
-        assert [e.entry_id for e in g.entries] == [f"e{i}" for i in range(100)]
+        assert list(g.entry_ids) == [f"e{i}" for i in range(100)]
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(3)
-        entries = [random_entry(rng, "a", "s", dim=4), random_entry(rng, "b", "t", dim=5)]
+        entries = {"a": random_pooled(rng, dim=4), "b": random_pooled(rng, dim=5)}
         with pytest.raises(MismatchError):
             build_gallery(entries, 0.5, BETA)
 
     def test_alpha_range(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            build_gallery([random_entry(rng, "a", "s")], 1.5, BETA)
+            build_gallery({"a": random_pooled(rng)}, 1.5, BETA)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_gallery([], 0.5, BETA)
+            build_gallery({}, 0.5, BETA)
 
 
 class TestMatchProbe:
@@ -82,27 +74,29 @@ class TestMatchProbe:
 
     def test_alpha_one_is_global_ordering(self):
         rng = np.random.default_rng(42)
-        gallery = random_gallery(rng, 20, alpha=1.0)
+        entries = random_entries(rng, 20)
+        gallery = build_gallery(entries, 1.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
-        d = [euclidean_distance(probe[0], e.global_feature) for e in gallery.entries]
-        expected = [gallery.entries[i].entry_id for i in np.argsort(d, kind="stable")]
+        d = [euclidean_distance(probe[0], g) for g, _ in entries.values()]
+        expected = [list(entries)[i] for i in np.argsort(d, kind="stable")]
         assert [s.entry_id for s in ranking.scored] == expected
 
     def test_alpha_zero_is_sfr_ordering(self):
         rng = np.random.default_rng(43)
-        gallery = random_gallery(rng, 20, alpha=0.0)
+        entries = random_entries(rng, 20)
+        gallery = build_gallery(entries, 0.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
-        r = [sfr_distance(probe[1], e.spatial, BETA).distance for e in gallery.entries]
-        expected = [gallery.entries[i].entry_id for i in np.argsort(r, kind="stable")]
+        r = [sfr_distance(probe[1], m, BETA).distance for _, m in entries.values()]
+        expected = [list(entries)[i] for i in np.argsort(r, kind="stable")]
         assert [s.entry_id for s in ranking.scored] == expected
 
     def test_self_probe_ranks_first(self):
         rng = np.random.default_rng(44)
-        gallery = random_gallery(rng, 15, alpha=0.7)
-        target = gallery.entries[6]
-        ranking = match_probe((target.global_feature, target.spatial), gallery, "p")
+        entries = random_entries(rng, 15)
+        gallery = build_gallery(entries, 0.7, BETA)
+        ranking = match_probe(entries["g6"], gallery, "p")
         assert ranking.scored[0].entry_id == "g6"
 
     def test_fusion_linear_exact(self):
@@ -115,9 +109,9 @@ class TestMatchProbe:
 
     def test_contains_every_entry_once(self):
         rng = np.random.default_rng(46)
-        gallery = random_gallery(rng, 12)
-        ranking = match_probe(self.probe_from(rng), gallery, "p")
-        assert sorted(s.entry_id for s in ranking.scored) == sorted(e.entry_id for e in gallery.entries)
+        entries = random_entries(rng, 12)
+        ranking = match_probe(self.probe_from(rng), build_gallery(entries, 0.7, BETA), "p")
+        assert sorted(s.entry_id for s in ranking.scored) == sorted(entries)
 
     def test_sorted_ascending(self):
         rng = np.random.default_rng(47)
@@ -129,7 +123,7 @@ class TestMatchProbe:
         rng = np.random.default_rng(52)
         g = GlobalFeature(rng.standard_normal(4))
         spatial = FeatureMatrix(rng.standard_normal((4, 3)))
-        entries = [GalleryEntry(f"e{i}", f"s{i}", g, spatial) for i in range(5)]
+        entries = {f"e{i}": (g, spatial) for i in range(5)}
         gallery = build_gallery(entries, 0.7, BETA)
         probe = (GlobalFeature(rng.standard_normal(4)), FeatureMatrix(rng.standard_normal((4, 2))))
         ranking = match_probe(probe, gallery, "p")

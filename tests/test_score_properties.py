@@ -1,7 +1,8 @@
 """Invariants of the reconstruction score on generated inputs: the distance
-lies between 0 and the probe's mean column norm, and permuting the gallery
-permutes each entry's d, r and s bit for bit. Needs hypothesis; skipped where
-it is not installed."""
+lies between 0 and the probe's mean column norm, permuting the gallery
+permutes each entry's d, r and s bit for bit, and at alpha = 0 or 1 the fused
+score is r or d bit for bit and ranks as that distance alone. Needs
+hypothesis; skipped where it is not installed."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from sfr.features import FeatureMatrix, GlobalFeature  # noqa: E402
 from sfr.reconstruction import ReconstructionScorer  # noqa: E402
-from sfr.retrieval import GalleryEntry, build_gallery, match_probe  # noqa: E402
+from sfr.retrieval import build_gallery, match_probe  # noqa: E402
 
 # Entries up to 10 in magnitude keep ||Y||^2 <= 8 * 8 * 100, so beta >= 1e-3
 # keeps the condition number of Y^T Y + beta I and of Y Y^T + beta I below
@@ -48,15 +49,17 @@ def test_distance_lies_between_zero_and_the_mean_column_norm(case, beta):
 
 
 @st.composite
-def gallery_and_permutation(draw):
+def gallery_and_probe(draw):
+    """(entry id, (global, spatial)) items of a gallery, and a probe."""
     d = draw(st.integers(1, 6))
     counts = draw(st.lists(st.integers(1, 9), min_size=2, max_size=6))
     entries = [
-        GalleryEntry(
+        (
             f"e{i}",
-            f"s{i}",
-            GlobalFeature(draw(arrays(np.float64, d, elements=FINITE))),
-            FeatureMatrix(draw(arrays(np.float64, (d, m), elements=FINITE))),
+            (
+                GlobalFeature(draw(arrays(np.float64, d, elements=FINITE))),
+                FeatureMatrix(draw(arrays(np.float64, (d, m), elements=FINITE))),
+            ),
         )
         for i, m in enumerate(counts)
     ]
@@ -64,6 +67,12 @@ def gallery_and_permutation(draw):
         GlobalFeature(draw(arrays(np.float64, d, elements=FINITE))),
         FeatureMatrix(draw(arrays(np.float64, (d, draw(st.integers(1, 6))), elements=FINITE))),
     )
+    return entries, probe
+
+
+@st.composite
+def gallery_and_permutation(draw):
+    entries, probe = draw(gallery_and_probe())
     return entries, probe, draw(st.permutations(range(len(entries))))
 
 
@@ -73,7 +82,7 @@ def test_permuting_the_gallery_permutes_each_entrys_scores(case, alpha, beta):
     entries, probe, perm = case
 
     def scores(gallery_entries):
-        ranking = match_probe(probe, build_gallery(gallery_entries, alpha, beta))
+        ranking = match_probe(probe, build_gallery(dict(gallery_entries), alpha, beta))
         return {
             e: (d, r, s)
             for e, d, r, s in zip(ranking.entry_ids, ranking.global_dist, ranking.sfr_dist, ranking.fused)
@@ -85,3 +94,19 @@ def test_permuting_the_gallery_permutes_each_entrys_scores(case, alpha, beta):
     for entry_id, values in before.items():
         # Bit for bit: compare the float64 bytes, which also tells -0.0 from 0.0.
         assert np.array(values).tobytes() == np.array(after[entry_id]).tobytes(), entry_id
+
+
+@settings(max_examples=100, deadline=None)
+@given(gallery_and_probe(), st.sampled_from([0.0, 1.0]), BETA)
+def test_fusion_endpoints_are_one_distance_alone(case, alpha, beta):
+    # s = alpha * d + (1 - alpha) * r is r at alpha = 0 and d at alpha = 1,
+    # and the ranking is the stable argsort of that column in gallery order.
+    entries, probe = case
+    ranking = match_probe(probe, build_gallery(dict(entries), alpha, beta))
+    column = ranking.global_dist if alpha == 1.0 else ranking.sfr_dist
+    assert ranking.fused.tobytes() == column.tobytes()
+    position = {entry_id: i for i, (entry_id, _) in enumerate(entries)}
+    in_gallery_order = np.empty_like(column)
+    in_gallery_order[[position[e] for e in ranking.entry_ids]] = column
+    order = np.argsort(in_gallery_order, kind="stable")
+    assert [entries[i][0] for i in order] == list(ranking.entry_ids)

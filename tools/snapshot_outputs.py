@@ -20,7 +20,18 @@ Each command gets a directory holding its output files, `stdout.txt`,
   inputs that `perfbench/workloads.py` writes, and with and without
   `--no-normalize` the `match` outputs (`rankings.csv`, `summary.json`),
   `eval` of those rankings (`cmc.csv`, `summary.json`) and `pool` of the
-  first three gallery maps.
+  first three gallery maps;
+- `dual-fallback/`: a small seeded set whose raw dictionaries leave the dual
+  form of the reconstruction score for the primal one, and `match` on it
+  with and without `--no-normalize`. Its six gallery maps are 32-channel
+  5 x 5 grids drawn from Gamma(2, 0.5) x 100, so H*W = 25 < d = 32 < M = 54:
+  each dictionary Y has rank 25 < d, and at beta = 1e-3 the raw K = Y Y^T +
+  beta I is too ill-conditioned for the dual form, so all six raw
+  dictionaries are scored in the primal form and none of the normalized
+  ones is. Its three probes are noisy 3 x 4 crops of one gallery map per
+  subject.
+  The benchmark's match workloads never take that branch: their dictionaries
+  are either primal by shape (d > M) or of full row rank (H*W >= d).
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MATCH_WORKLOADS = ("match-large-dict", "match-small-dict")
 SEEDS = (1, 2)
 POOLED_MAPS = 3
+FALLBACK_SUBJECTS, FALLBACK_PER_SUBJECT, FALLBACK_SEED = 3, 2, 13
 
 
 def run(out: Path, argv: list[str]) -> None:
@@ -68,6 +80,34 @@ def snapshot_match(root: Path, name: str, seed: int) -> None:
             run(pooled, ["pool", "--input", str(inputs / entry.path), "--out", str(pooled / "pooled.sfrf"), *flags])
 
 
+def snapshot_dual_fallback(root: Path) -> None:
+    import numpy as np
+
+    from sfr.features import SpatialFeatureMap, save_feature_map
+    from sfr.retrieval import ManifestEntry, write_manifest
+
+    inputs = root / "inputs"
+    inputs.mkdir(parents=True)
+    rng = np.random.default_rng(FALLBACK_SEED)
+    gallery, probes = [], []
+    for subject in range(FALLBACK_SUBJECTS):
+        maps = rng.gamma(2.0, 0.5, size=(FALLBACK_PER_SUBJECT, 32, 5, 5)) * 100.0
+        for i, values in enumerate(maps):
+            gallery.append(ManifestEntry(f"g{subject}_{i}", f"s{subject}", f"g{subject}_{i}.sfrf"))
+            save_feature_map(SpatialFeatureMap(values.astype(np.float32)), inputs / gallery[-1].path)
+        crop = maps[0][:, 1:4, :4] + rng.normal(0.0, 5.0, size=(32, 3, 4))
+        probes.append(ManifestEntry(f"p{subject}", f"s{subject}", f"p{subject}.sfrf"))
+        save_feature_map(SpatialFeatureMap(np.abs(crop).astype(np.float32)), inputs / probes[-1].path)
+    write_manifest(inputs / "gallery.jsonl", gallery)
+    write_manifest(inputs / "probes.jsonl", probes)
+    for variant, flags in (("normalized", []), ("raw", ["--no-normalize"])):
+        out = root / variant / "match"
+        run(out, [
+            "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
+            "--out", str(out), "--alpha", "0.7", "--beta", "0.001", *flags,
+        ])
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/snapshot_outputs.py OUT", file=sys.stderr)
@@ -89,6 +129,7 @@ def main(argv: list[str]) -> int:
     for name in MATCH_WORKLOADS:
         for seed in SEEDS:
             snapshot_match(out / f"{name}-seed{seed}", name, seed)
+    snapshot_dual_fallback(out / "dual-fallback")
     return 0
 
 
