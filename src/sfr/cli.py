@@ -205,9 +205,11 @@ def _write_rankings_csv(path, rankings) -> None:
 
 def _read_rankings_csv(path) -> list[RetrievalRanking]:
     """Rankings from a CSV that `_write_rankings_csv` wrote: six fields per
-    row, ranks 1..N per probe with finite scores; s may not decrease with
-    rank (exit 3). Bytes that are not such a CSV raise FormatError."""
+    row, each probe's rows contiguous with ranks 1..N and finite scores; s
+    may not decrease with rank (exit 3). Bytes that are not such a CSV raise
+    FormatError."""
     grouped: dict[str, tuple[list[str], list[float], list[float], list[float]]] = {}
+    last_probe = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = csv.reader(fh)
@@ -220,6 +222,9 @@ def _read_rankings_csv(path) -> list[RetrievalRanking]:
                     rank, scores = int(rank), (float(d_text), float(r_text), float(s_text))
                 except ValueError as exc:
                     raise FormatError(f"{path}: bad row {row}: {exc}") from exc
+                if probe_id != last_probe and probe_id in grouped:
+                    raise FormatError(f"{path}: rows for probe {probe_id} are not contiguous")
+                last_probe = probe_id
                 ids, d, r, s = grouped.setdefault(probe_id, ([], [], [], []))
                 if rank != len(ids) + 1:
                     raise FormatError(f"{path}: ranks for probe {probe_id} not contiguous")

@@ -11,7 +11,7 @@ separately by ridge_oracle.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,9 +39,6 @@ class OracleReport:
             "passed": self.passed,
             "casesRun": self.cases_run,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def ridge_oracle(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> np.ndarray:
@@ -110,9 +107,12 @@ def exhaustive_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
 
 
 def relative_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-6) -> float:
-    """Max entrywise |a - b| / max(|a|, |b|, floor)."""
+    """Max entrywise |a - b| / max(|a|, |b|, floor); inf where the shapes
+    differ, rather than comparing whatever the two would broadcast to."""
     a = np.asarray(approx, dtype=np.float64)
     b = np.asarray(exact, dtype=np.float64)
+    if a.shape != b.shape:
+        return math.inf
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
 
@@ -132,14 +132,6 @@ def random_batch(rng: np.random.Generator, p: int, k: int, dim: int, max_count: 
             count = int(rng.integers(2, max_count + 1))
             samples.append(BatchSample(f"id{identity}", g, random_feature_matrix(rng, dim, count)))
     return TripletBatch(tuple(samples))
-
-
-def _window_count(h: int, w: int, kernels) -> int:
-    total = 0
-    for k in kernels:
-        if k <= min(h, w):
-            total += (h - k + 1) * (w - k + 1)
-    return total
 
 
 def _loop_pool_oracle(values: np.ndarray, kernels) -> np.ndarray:
@@ -164,6 +156,69 @@ class CaseRecord:
     rel_error: float
 
 
+# (abs error, rel error, passed) of one case; a fast result whose shape
+# differs from its reference fails with infinite errors.
+Case = tuple[float, float, bool]
+_WRONG_SHAPE: Case = (math.inf, math.inf, False)
+
+
+def _ridge_case(rng: np.random.Generator, i: int, inject_fault: bool) -> Case:
+    d, m, n = rng.integers(1, 17, size=3)
+    x = random_feature_matrix(rng, int(d), int(n))
+    y = random_feature_matrix(rng, int(d), int(m))
+    beta = (1e-3, 1e-1, 1.0)[i % 3]
+    fast = solve_coefficients(x, y, beta).matrix
+    if inject_fault:
+        fast = fast + 1e-6
+    slow = ridge_oracle(x, y, beta)
+    if fast.shape != slow.shape:
+        return _WRONG_SHAPE
+    normal_eq = y.columns.T @ (x.columns - y.columns @ fast) - beta * fast
+    err = max(float(np.abs(fast - slow).max()), float(np.abs(normal_eq).max()))
+    return err, relative_error(fast, slow), err <= 1e-8
+
+
+def _fro2(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """||X - Y W||_F^2, whose gradients at fixed W sfr_gradients returns."""
+    r = x - y @ w
+    return float(np.sum(r * r))
+
+
+def _gradient_case(rng: np.random.Generator) -> Case:
+    d, n, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (1, 6), (1, 6)))
+    xa = random_feature_matrix(rng, d, n)
+    xo = random_feature_matrix(rng, d, m)
+    coeff = solve_coefficients(xa, xo, 0.01)
+    grad_a, grad_o = sfr_gradients(xa, xo, coeff)
+    rel = max(
+        relative_error(grad_a, finite_difference(lambda a: _fro2(a, xo.columns, coeff.matrix), xa.columns, 1e-5)),
+        relative_error(grad_o, finite_difference(lambda o: _fro2(xa.columns, o, coeff.matrix), xo.columns, 1e-5)),
+    )
+    return rel, rel, rel <= 1e-4
+
+
+def _mining_case(rng: np.random.Generator) -> Case:
+    batch = random_batch(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)), 4)
+    fast = batch_hard_mine(batch, 0.001)
+    slow = exhaustive_mine(batch, 0.001)
+    if len(fast) != len(slow):
+        return _WRONG_SHAPE
+    err = 0.0
+    for f, s in zip(fast, slow):
+        err = max(err, abs(f.positive_distance - s.positive_distance), abs(f.negative_distance - s.negative_distance))
+    return err, err, fast == slow
+
+
+def _pooling_case(rng: np.random.Generator) -> Case:
+    c, h, w = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 9), (1, 9)))
+    fmap = SpatialFeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
+    rel = relative_error(
+        pyramid_pool(fmap, DEFAULT_PYRAMID).columns,
+        _loop_pool_oracle(fmap.values.astype(np.float64), DEFAULT_PYRAMID.kernel_sizes),
+    )
+    return rel, rel, rel <= 1e-6
+
+
 def run_verification(
     seed: int = 7,
     *,
@@ -175,99 +230,24 @@ def run_verification(
 ) -> tuple[list[OracleReport], list[CaseRecord]]:
     """Full oracle suite: ridge cross-check, normal-equation identity, frozen
     coefficient gradients vs central differences, mining equivalence, and
-    pooling geometry. inject_fault perturbs the fast solver's output to prove
-    the harness detects regressions."""
+    pooling geometry. The cases draw from one seeded generator in this order,
+    and a check passes when every one of its cases does. inject_fault
+    perturbs the fast solver's output to prove the harness detects
+    regressions."""
     rng = np.random.default_rng(seed)
-    reports: list[OracleReport] = []
-    cases: list[CaseRecord] = []
-
-    betas = (1e-3, 1e-1, 1.0)
-    max_err = 0.0
-    max_rel = 0.0
-    for i in range(ridge_cases):
-        d, m, n = rng.integers(1, 17, size=3)
-        x = random_feature_matrix(rng, int(d), int(n))
-        y = random_feature_matrix(rng, int(d), int(m))
-        beta = betas[i % len(betas)]
-        fast = solve_coefficients(x, y, beta).matrix
-        if inject_fault:
-            fast = fast + 1e-6
-        slow = ridge_oracle(x, y, beta)
-        normal_eq = y.columns.T @ (x.columns - y.columns @ fast) - beta * fast
-        err = max(float(np.abs(fast - slow).max()), float(np.abs(normal_eq).max()))
-        rel = relative_error(fast, slow)
-        cases.append(CaseRecord("ridge-vs-elimination", i, err, rel))
-        max_err = max(max_err, err)
-        max_rel = max(max_rel, rel)
-    reports.append(OracleReport("ridge-vs-elimination", max_err, max_rel, max_err <= 1e-8, ridge_cases))
-
-    max_rel = 0.0
-    for i in range(gradient_cases):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        xa = random_feature_matrix(rng, d, n)
-        xo = random_feature_matrix(rng, d, m)
-        coeff = solve_coefficients(xa, xo, 0.01)
-        grad_a, grad_o = sfr_gradients(xa, xo, coeff)
-
-        def fro2_a(cols):
-            r = cols - xo.columns @ coeff.matrix
-            return float(np.sum(r * r))
-
-        def fro2_o(cols):
-            r = xa.columns - cols @ coeff.matrix
-            return float(np.sum(r * r))
-
-        rel = max(
-            relative_error(grad_a, finite_difference(fro2_a, xa.columns, 1e-5)),
-            relative_error(grad_o, finite_difference(fro2_o, xo.columns, 1e-5)),
-        )
-        cases.append(CaseRecord("frozen-coefficient-gradients", i, rel, rel))
-        max_rel = max(max_rel, rel)
-    reports.append(
-        OracleReport("frozen-coefficient-gradients", max_rel, max_rel, max_rel <= 1e-4, gradient_cases)
+    checks = (
+        ("ridge-vs-elimination", ridge_cases, lambda i: _ridge_case(rng, i, inject_fault)),
+        ("frozen-coefficient-gradients", gradient_cases, lambda i: _gradient_case(rng)),
+        ("mining-vs-exhaustive", mining_batches, lambda i: _mining_case(rng)),
+        ("pooling-geometry", pooling_maps, lambda i: _pooling_case(rng)),
     )
-
-    max_err = 0.0
-    mismatches = 0
-    for i in range(mining_batches):
-        batch = random_batch(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)), 4)
-        fast = batch_hard_mine(batch, 0.001)
-        slow = exhaustive_mine(batch, 0.001)
-        batch_err = 0.0
-        for f, s in zip(fast, slow):
-            if (f.positive_idx, f.negative_idx) != (s.positive_idx, s.negative_idx):
-                mismatches += 1
-            batch_err = max(
-                batch_err,
-                abs(f.positive_distance - s.positive_distance),
-                abs(f.negative_distance - s.negative_distance),
-            )
-        cases.append(CaseRecord("mining-vs-exhaustive", i, batch_err, batch_err))
-        max_err = max(max_err, batch_err)
-    reports.append(
-        OracleReport(
-            "mining-vs-exhaustive", max_err, max_err, mismatches == 0 and max_err == 0.0, mining_batches
-        )
-    )
-
-    max_rel = 0.0
-    count_ok = True
-    for i in range(pooling_maps):
-        c = int(rng.integers(1, 4))
-        h = int(rng.integers(1, 9))
-        w = int(rng.integers(1, 9))
-        fmap = SpatialFeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
-        pooled = pyramid_pool(fmap, DEFAULT_PYRAMID)
-        expected = _loop_pool_oracle(fmap.values.astype(np.float64), DEFAULT_PYRAMID.kernel_sizes)
-        if pooled.count != _window_count(h, w, DEFAULT_PYRAMID.kernel_sizes):
-            count_ok = False
-        rel = relative_error(pooled.columns, expected)
-        cases.append(CaseRecord("pooling-geometry", i, rel, rel))
-        max_rel = max(max_rel, rel)
-    reports.append(
-        OracleReport("pooling-geometry", max_rel, max_rel, count_ok and max_rel <= 1e-6, pooling_maps)
-    )
-
+    reports, cases = [], []
+    for name, count, run_case in checks:
+        max_abs, max_rel, passed = 0.0, 0.0, True
+        for i in range(count):
+            abs_err, rel_err, ok = run_case(i)
+            cases.append(CaseRecord(name, i, abs_err, rel_err))
+            max_abs, max_rel = max(max_abs, abs_err), max(max_rel, rel_err)
+            passed = passed and ok
+        reports.append(OracleReport(name, max_abs, max_rel, passed, count))
     return reports, cases

@@ -193,6 +193,20 @@ class TestEval:
         assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["mAP"] == 1.0
 
+    def test_interleaved_probe_rows_exit_2(self, tmp_path, capsys):
+        # Each probe's rows must be contiguous; p0's rows resume after p1's.
+        gal = tmp_path / "gal.jsonl"
+        write_manifest(gal, [ManifestEntry(f"g{i}", f"s{i}", f"g{i}.sfrf") for i in range(2)])
+        probes = tmp_path / "probes.jsonl"
+        write_manifest(probes, [ManifestEntry(f"p{i}", f"s{i}", f"p{i}.sfrf") for i in range(2)])
+        rows = ["probeId,rank,entryId,d,r,s", "p0,1,g0,0,0,0", "p1,1,g0,0,0,0", "p0,2,g1,0,0,1", "p1,2,g1,0,0,1"]
+        rankings = tmp_path / "rankings.csv"
+        rankings.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "eval"
+        assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 2
+        assert "rows for probe p0 are not contiguous" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_entry_listed_twice_exit_3(self, tmp_path):
         rankings, probes, gal = self.fixture_rankings(tmp_path)
         rows = rankings.read_text().splitlines()

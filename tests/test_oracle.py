@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import sfr.oracle
+from sfr.cli import main
 from sfr.errors import FactorizationError
-from sfr.features import FeatureMatrix
+from sfr.features import FeatureMatrix, pyramid_pool
 from sfr.metric import batch_hard_mine
 from sfr.oracle import (
     exhaustive_mine,
@@ -117,6 +119,44 @@ class TestVerificationSuite:
 
     def test_report_json_fields(self):
         reports, _ = run_verification(seed=1, ridge_cases=2, gradient_cases=2, mining_batches=2, pooling_maps=2)
-        obj = json.loads(reports[0].to_json())
+        obj = json.loads(json.dumps(reports[0].to_dict()))
         assert set(obj) == {"checkName", "maxAbsError", "maxRelError", "passed", "casesRun"}
         assert obj["casesRun"] == 2
+
+
+def verify_reports(capsys) -> tuple[int, dict]:
+    """Exit code and {check name: report} of `sfr verify`'s printed JSON."""
+    rc = main(["verify"])
+    return rc, {r["checkName"]: r for r in json.loads(capsys.readouterr().out)}
+
+
+class TestVerifyFailsWrongFastResults:
+    """A fast path that returns too few results fails its check: the report
+    is still printed, and `sfr verify` exits 5."""
+
+    def test_mining_that_drops_a_triplet(self, monkeypatch, capsys):
+        monkeypatch.setattr(sfr.oracle, "batch_hard_mine", lambda batch, beta: batch_hard_mine(batch, beta)[:-1])
+        rc, reports = verify_reports(capsys)
+        assert rc == 5
+        assert reports["mining-vs-exhaustive"]["passed"] is False
+        assert reports["mining-vs-exhaustive"]["maxAbsError"] == float("inf")
+        assert all(reports[name]["passed"] for name in reports if name != "mining-vs-exhaustive")
+
+    def test_pooling_that_drops_a_column(self, monkeypatch, capsys):
+        def drop_last_column(fmap, spec):
+            pooled = pyramid_pool(fmap, spec)
+            return FeatureMatrix(pooled.columns[:, :-1]) if pooled.count > 1 else pooled
+
+        monkeypatch.setattr(sfr.oracle, "pyramid_pool", drop_last_column)
+        rc, reports = verify_reports(capsys)
+        assert rc == 5
+        assert reports["pooling-geometry"]["passed"] is False
+        assert reports["pooling-geometry"]["maxRelError"] == float("inf")
+        assert all(reports[name]["passed"] for name in reports if name != "pooling-geometry")
+
+
+class TestRelativeError:
+    def test_shapes_that_differ_are_infinitely_far(self):
+        # (1, 3) against (2, 3) would broadcast and compare equal rows.
+        assert relative_error(np.ones((1, 3)), np.ones((2, 3))) == float("inf")
+        assert relative_error(np.ones(3), np.ones(3)) == 0.0

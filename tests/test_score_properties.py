@@ -1,7 +1,8 @@
 """Invariants of the reconstruction score on generated inputs: the distance
 lies between 0 and the probe's mean column norm, permuting the gallery
-permutes each entry's d, r and s bit for bit, and at alpha = 0 or 1 the fused
-score is r or d bit for bit and ranks as that distance alone. Needs
+permutes each entry's d, r and s bit for bit, at alpha = 0 or 1 the fused
+score is r or d bit for bit and ranks as that distance alone, and r
+reconstructs the probe from the entry, not the entry from the probe. Needs
 hypothesis; skipped where it is not installed."""
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from sfr.features import FeatureMatrix, GlobalFeature  # noqa: E402
-from sfr.reconstruction import ReconstructionScorer  # noqa: E402
+from sfr.reconstruction import ReconstructionScorer, sfr_distance  # noqa: E402
 from sfr.retrieval import build_gallery, match_probe  # noqa: E402
 
 # Entries up to 10 in magnitude keep ||Y||^2 <= 8 * 8 * 100, so beta >= 1e-3
@@ -110,3 +111,23 @@ def test_fusion_endpoints_are_one_distance_alone(case, alpha, beta):
     in_gallery_order[[position[e] for e in ranking.entry_ids]] = column
     order = np.argsort(in_gallery_order, kind="stable")
     assert [entries[i][0] for i in order] == list(ranking.entry_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gallery_and_probe(), st.floats(0.0, 1.0), BETA)
+def test_probe_and_entry_roles_are_not_interchangeable(case, alpha, beta):
+    # r reconstructs the probe's columns from the entry's, so swapping the
+    # two roles gives the distance in the other direction.
+    entries, probe = case
+    entry = entries[0][1]
+
+    def r(query, stored):
+        return float(match_probe(query, build_gallery({"e": stored}, alpha, beta)).sfr_dist[0])
+
+    forward, backward = r(probe, entry), r(entry, probe)
+    expected_forward = sfr_distance(probe[1], entry[1], beta).distance
+    expected_backward = sfr_distance(entry[1], probe[1], beta).distance
+    assert abs(forward - expected_forward) <= ROUNDING * expected_forward + 1e-12, (forward, expected_forward)
+    assert abs(backward - expected_backward) <= ROUNDING * expected_backward + 1e-12, (backward, expected_backward)
+    if abs(expected_forward - expected_backward) > 1e-6 * max(expected_forward, expected_backward):
+        assert forward != backward

@@ -16,6 +16,10 @@ Each command gets a directory holding its output files, `stdout.txt`,
 - `train-demo/seed7-8-epochs-raw`: the same for 8 epochs with
   `--no-normalize`, which exits 4;
 - `verify`: the oracle suite's JSON report;
+- `verify-verbose`: `verify --verbose`, which adds the per-case error table
+  on stderr;
+- `verify-inject-fault`: `verify --inject-fault`, whose perturbed ridge
+  solves fail that check: the JSON report with `passed: false`, exit 5;
 - `<workload>-seed<k>/`, for both match workloads at seeds 1 and 2: the
   inputs that `perfbench/workloads.py` writes, and with and without
   `--no-normalize` the `match` outputs (`rankings.csv`, `summary.json`),
@@ -126,6 +130,8 @@ def main(argv: list[str]) -> int:
     raw = demo / "seed7-8-epochs-raw"
     run(raw, ["train-demo", "--out", str(raw), "--seed", "7", "--epochs", "8", "--no-normalize"])
     run(out / "verify", ["verify"])
+    run(out / "verify-verbose", ["verify", "--verbose"])
+    run(out / "verify-inject-fault", ["verify", "--inject-fault"])
     for name in MATCH_WORKLOADS:
         for seed in SEEDS:
             snapshot_match(out / f"{name}-seed{seed}", name, seed)
