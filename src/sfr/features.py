@@ -119,11 +119,6 @@ class PyramidSpec:
 DEFAULT_PYRAMID = PyramidSpec()
 
 
-def global_average_pool(fmap: SpatialFeatureMap) -> GlobalFeature:
-    """Per-channel mean over all H x W positions."""
-    return GlobalFeature(fmap.values.mean(axis=(1, 2), dtype=np.float64))
-
-
 def usable_kernels(spec: PyramidSpec, height: int, width: int) -> tuple[int, ...]:
     """Kernel sizes that fit the grid; larger ones are skipped, not an error."""
     return tuple(k for k in spec.kernel_sizes if k <= min(height, width))
@@ -166,16 +161,6 @@ def pool_columns_adjoint(dx: np.ndarray, shape: tuple[int, ...], spec: PyramidSp
     return out
 
 
-def pyramid_pool(fmap: SpatialFeatureMap, spec: PyramidSpec = DEFAULT_PYRAMID) -> FeatureMatrix:
-    """Multi-scale spatial features from sliding average windows.
-
-    For each kernel size k <= min(H, W) a k x k averaging window slides over
-    every position, producing one column per window position; columns from
-    all kernels are concatenated in kernel order.
-    """
-    return FeatureMatrix(pool_columns(fmap.values.astype(np.float64), spec))
-
-
 def unit_columns(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns (axis -2 indexes the feature dim) scaled to unit l2 norm, the
     scales they were divided by, and the mask of zero columns, which keep
@@ -209,8 +194,9 @@ def pool_stack(
     """Each map's global average and pyramid columns, normalized when asked,
     from a (maps, C, H, W) stack, and the (maps, columns) scales its columns
     were divided by (ones when not normalizing). One global mean, one
-    pool_columns and one unit_columns give every map the bits of
-    global_average_pool, pyramid_pool and l2_normalize_columns on it alone."""
+    pool_columns and one unit_columns give every map the bits it gets pooled
+    alone: the mean over its grid, pool_columns on its (C, H, W) array and
+    unit_columns on its columns."""
     globals_ = stack.mean(axis=(-2, -1), dtype=np.float64)
     columns = pool_columns(stack.astype(np.float64, copy=False), spec)
     if normalize:

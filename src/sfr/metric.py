@@ -108,26 +108,12 @@ def global_distances(anchor: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.linalg.norm(others - anchor, axis=1)
 
 
-def euclidean_distance(a: GlobalFeature, b: GlobalFeature) -> float:
-    if a.dim != b.dim:
-        raise MismatchError(f"global feature dims differ: {a.dim} vs {b.dim}")
-    return float(global_distances(a.values, b.values[None, :])[0])
-
-
-def combined_distance(a: BatchSample, b: BatchSample, beta: float) -> float:
-    """Global Euclidean distance plus reconstruction distance, with a's
-    spatial features reconstructed from b's dictionary (the asymmetric
-    anchor-to-other direction)."""
-    r = ReconstructionScorer([b.spatial], beta).distances(a.spatial)[0]
-    return euclidean_distance(a.global_feature, b.global_feature) + float(r)
-
-
 def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], ReconstructionScorer]:
     samples = batch.samples
-    # d[i, j] = combined distance of anchor i against dictionary j. It equals
-    # combined_distance pair by pair, bit for bit: the global term is the
-    # same expression, and the scorer's distance for a pair does not depend
-    # on the other dictionaries scored with it.
+    # d[i, j] = combined distance of anchor i against dictionary j. It has
+    # the bits of scoring the pair alone, as sfr.oracle.exhaustive_mine does:
+    # the global term is one expression, and the scorer's distance for a pair
+    # does not depend on the other dictionaries scored with it.
     dim = samples[0].global_feature.dim
     if any(s.global_feature.dim != dim for s in samples):
         raise MismatchError(f"global feature dims differ within the batch (first is {dim})")

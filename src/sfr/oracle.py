@@ -4,9 +4,11 @@ The ridge oracle solves the normal equations by hand-written Gaussian
 elimination with partial pivoting and shares no solver code with the
 Cholesky path; the gradient oracle is plain central differences. The mining
 oracle replays the per-anchor selection with explicit scan loops; it scores
-pairs through combined_distance on purpose, because its job is to check the
-selection logic, while the solver behind those scores is cross-checked
-separately by ridge_oracle.
+each pair alone with mining's own expression (global_distances plus a
+one-dictionary ReconstructionScorer) on purpose, because its job is to check
+the selection logic, while the solver behind those scores is cross-checked
+separately by ridge_oracle. The pooling check judges pool_feature_maps, the
+route that the commands pool through, against a loop over windows.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import FactorizationError
-from .features import DEFAULT_PYRAMID, FeatureMatrix, GlobalFeature, SpatialFeatureMap, pyramid_pool
-from .metric import BatchSample, MinedTriplet, TripletBatch, batch_hard_mine, combined_distance
-from .reconstruction import sfr_gradients, solve_coefficients
+from .features import DEFAULT_PYRAMID, FeatureMatrix, GlobalFeature, SpatialFeatureMap, pool_feature_maps
+from .metric import BatchSample, MinedTriplet, TripletBatch, batch_hard_mine, global_distances
+from .reconstruction import ReconstructionScorer, sfr_gradients, solve_coefficients
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,8 @@ def exhaustive_mine(batch: TripletBatch, beta: float) -> list[MinedTriplet]:
         for j, other in enumerate(samples):
             if j == a:
                 continue
-            d = combined_distance(anchor, other, beta)
+            r = ReconstructionScorer([other.spatial], beta).distances(anchor.spatial)[0]
+            d = float(global_distances(anchor.global_feature.values, other.global_feature.values[None, :])[0] + r)
             if other.label == anchor.label:
                 if best_pos is None or d > best_pos_d:
                     best_pos, best_pos_d = j, d
@@ -213,7 +216,7 @@ def _pooling_case(rng: np.random.Generator) -> Case:
     c, h, w = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 9), (1, 9)))
     fmap = SpatialFeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
     rel = relative_error(
-        pyramid_pool(fmap, DEFAULT_PYRAMID).columns,
+        pool_feature_maps([fmap], DEFAULT_PYRAMID, normalize=False)[0][1].columns,
         _loop_pool_oracle(fmap.values.astype(np.float64), DEFAULT_PYRAMID.kernel_sizes),
     )
     return rel, rel, rel <= 1e-6

@@ -37,15 +37,6 @@ class ReconstructionCoefficients:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Coefficients plus the residual X - Y W and the mean residual column norm."""
-
-    coefficients: ReconstructionCoefficients
-    residual: np.ndarray
-    distance: float
-
-
 def _cholesky(gram: np.ndarray, beta: float, min_pivot_ratio: float) -> np.ndarray | None:
     """Lower Cholesky factor of a regularized Gram matrix, from LAPACK potrf
     with the arguments scipy's cho_factor passes (its upper triangle keeps
@@ -218,12 +209,12 @@ def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> Recon
     return DictionaryFactor(y, beta).solve(x)
 
 
-def sfr_distance(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> ReconstructionResult:
+def sfr_distance(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> float:
     """Reconstruction distance: mean l2 norm of the columns of X - Y W, one
     pair at a time; the per-pair reference for ReconstructionScorer."""
     coeff = solve_coefficients(x, y, beta)
     residual = x.columns - y.columns @ coeff.matrix
-    return ReconstructionResult(coeff, residual, float(np.linalg.norm(residual, axis=0).mean()))
+    return float(np.linalg.norm(residual, axis=0).mean())
 
 
 def sfr_gradients(

@@ -51,7 +51,9 @@ class RetrievalRanking:
 
     @property
     def scored(self) -> tuple[ScoredEntry, ...]:
-        """The ranking as one ScoredEntry per row (derived, read-only)."""
+        """The ranking as one ScoredEntry per row (derived, read-only). Only
+        the benchmark tracer's pair count (perfbench/tracing.py, _tally_pairs)
+        reads it; the program and its tests read the columns."""
         return tuple(
             map(ScoredEntry, self.entry_ids, self.global_dist.tolist(), self.sfr_dist.tolist(), self.fused.tolist())
         )
@@ -159,10 +161,20 @@ class ManifestEntry:
     path: str
 
 
+def _manifest_text(obj: dict, key: str) -> str:
+    # A string or a number is read as its text. str() would also turn null
+    # into "None" and true into "True", which could then match another entry.
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"{key} is {json.dumps(value)}, want a string or a number")
+    return str(value)
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """JSON-lines manifest: one {"entryId", "subjectId", "path"} object per
-    line. An entry id may not contain a comma, a double quote, CR or LF,
-    which the rankings CSV (written unquoted) could not hold."""
+    line, each value a string or a number. An entry id may not contain a
+    comma, a double quote, CR or LF, which the rankings CSV (written
+    unquoted) could not hold."""
     entries = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -172,7 +184,7 @@ def load_manifest(path) -> list[ManifestEntry]:
                     continue
                 try:
                     obj = json.loads(line)
-                    entry = ManifestEntry(str(obj["entryId"]), str(obj["subjectId"]), str(obj["path"]))
+                    entry = ManifestEntry(*(_manifest_text(obj, key) for key in ("entryId", "subjectId", "path")))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc
                 if any(c in entry.entry_id for c in ',"\r\n'):

@@ -14,13 +14,14 @@ from sfr.features import (
     FeatureMatrix,
     GlobalFeature,
     SpatialFeatureMap,
-    pyramid_pool,
+    pool_feature_maps,
     save_feature_map,
 )
 from sfr.metric import (
     batch_hard_mine,
     build_batch,
     frozen_step_objective,
+    global_distances,
     step_gradients,
 )
 from sfr.oracle import (
@@ -79,10 +80,10 @@ def test_criterion_1_ridge_correctness():
 
 def test_criterion_2_orthonormal_closed_form():
     x = FeatureMatrix(np.eye(5)[:, :2])
-    res = sfr_distance(x, x, 1.0)
-    assert abs(res.distance - 0.5) <= 1e-12
+    r = sfr_distance(x, x, 1.0)
+    assert abs(r - 0.5) <= 1e-12
     report(2, "orthonormal self-reconstruction at beta=1 gives distance 0.5",
-           f"value {res.distance!r}")
+           f"value {r!r}")
 
 
 def test_criterion_3_gradient_checks():
@@ -154,7 +155,7 @@ def test_criterion_4_mining_equivalence():
 def test_criterion_5_pyramid_geometry():
     rng = np.random.default_rng(5)
     fmap = SpatialFeatureMap(rng.standard_normal((16, 8, 4)).astype(np.float32))
-    pooled = pyramid_pool(fmap, DEFAULT_PYRAMID)
+    pooled = pool_feature_maps([fmap], DEFAULT_PYRAMID, normalize=False)[0][1]
     assert pooled.count == 70
     values = fmap.values.astype(np.float64)
     cols = []
@@ -182,18 +183,16 @@ def test_criterion_6_fusion_endpoints():
         (GlobalFeature(rng.standard_normal(8)), FeatureMatrix(rng.standard_normal((8, 5))))
         for _ in range(20)
     ]
-    from sfr.metric import euclidean_distance
-
     for alpha, key in ((1.0, "global"), (0.0, "sfr")):
         gallery = build_gallery(entries, alpha, 0.001)
         for probe in probes:
             ranking = match_probe(probe, gallery, "p")
             if key == "global":
-                ref = [euclidean_distance(probe[0], g) for g, _ in entries.values()]
+                ref = [global_distances(probe[0].values, g.values[None, :])[0] for g, _ in entries.values()]
             else:
-                ref = [sfr_distance(probe[1], m, 0.001).distance for _, m in entries.values()]
+                ref = [sfr_distance(probe[1], m, 0.001) for _, m in entries.values()]
             expected = [list(entries)[i] for i in np.argsort(ref, kind="stable")]
-            assert [s.entry_id for s in ranking.scored] == expected
+            assert list(ranking.entry_ids) == expected
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     report(6, "alpha endpoints reproduce the single-metric permutations exactly",

@@ -10,14 +10,12 @@ from sfr.features import (
     GlobalFeature,
     PyramidSpec,
     SpatialFeatureMap,
-    global_average_pool,
     l2_normalize_columns,
     load_feature_map,
     load_pooled,
     pool_columns,
     pool_columns_adjoint,
     pool_feature_maps,
-    pyramid_pool,
     save_feature_map,
     save_pooled,
     unit_columns,
@@ -26,6 +24,12 @@ from sfr.features import (
 
 def random_map(rng, c, h, w):
     return SpatialFeatureMap(rng.standard_normal((c, h, w)).astype(np.float32))
+
+
+def pooled(fmap, spec=DEFAULT_PYRAMID):
+    """One map's global vector and raw pyramid columns, by the route that
+    `sfr pool --no-normalize` takes."""
+    return pool_feature_maps([fmap], spec, normalize=False)[0]
 
 
 def loop_pool(values, kernels):
@@ -127,11 +131,11 @@ class TestSfrfRoundTrip:
 class TestGlobalAveragePool:
     def test_constant_field(self):
         fmap = SpatialFeatureMap(np.full((4, 3, 5), 3.5, dtype=np.float32))
-        np.testing.assert_allclose(global_average_pool(fmap).values, 3.5)
+        np.testing.assert_allclose(pooled(fmap)[0].values, 3.5)
 
     def test_two_by_two_mean(self):
         fmap = SpatialFeatureMap(np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32))
-        np.testing.assert_allclose(global_average_pool(fmap).values, [2.5])
+        np.testing.assert_allclose(pooled(fmap)[0].values, [2.5])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -140,37 +144,36 @@ class TestGlobalAveragePool:
             sum(float(fmap.values[c, i, j]) for i in range(4) for j in range(6)) / 24.0
             for c in range(2)
         ]
-        np.testing.assert_allclose(global_average_pool(fmap).values, expected, rtol=1e-10)
+        np.testing.assert_allclose(pooled(fmap)[0].values, expected, rtol=1e-10)
 
     def test_full_grid_mean_when_not_square(self):
         # GAP is the full-grid mean; equal to a single min(H, W)-kernel pyramid
         # column only on square grids.
         rng = np.random.default_rng(5)
         square = random_map(rng, 3, 4, 4)
-        col = pyramid_pool(square, PyramidSpec((4,))).columns[:, 0]
-        np.testing.assert_allclose(global_average_pool(square).values, col, rtol=1e-12)
+        gap, matrix = pooled(square, PyramidSpec((4,)))
+        np.testing.assert_allclose(gap.values, matrix.columns[:, 0], rtol=1e-12)
 
         rect = random_map(rng, 3, 4, 6)
-        col = pyramid_pool(rect, PyramidSpec((4,))).columns
-        gap = global_average_pool(rect).values
-        assert col.shape[1] == 3
-        assert not np.allclose(gap, col[:, 0])
+        gap, matrix = pooled(rect, PyramidSpec((4,)))
+        assert matrix.columns.shape[1] == 3
+        assert not np.allclose(gap.values, matrix.columns[:, 0])
 
 
 class TestPyramidPool:
     def test_8x4_default_kernels_gives_70(self):
         rng = np.random.default_rng(7)
-        pooled = pyramid_pool(random_map(rng, 4, 8, 4))
-        assert pooled.count == 70  # 32 + 21 + 12 + 5
-        assert pooled.dim == 4
+        matrix = pooled(random_map(rng, 4, 8, 4))[1]
+        assert matrix.count == 70  # 32 + 21 + 12 + 5
+        assert matrix.dim == 4
 
     def test_4x4_gives_30(self):
         rng = np.random.default_rng(8)
-        assert pyramid_pool(random_map(rng, 2, 4, 4)).count == 30  # 16 + 9 + 4 + 1
+        assert pooled(random_map(rng, 2, 4, 4))[1].count == 30  # 16 + 9 + 4 + 1
 
     def test_1x1_keeps_only_unit_kernel(self):
         rng = np.random.default_rng(9)
-        assert pyramid_pool(random_map(rng, 5, 1, 1)).count == 1
+        assert pooled(random_map(rng, 5, 1, 1))[1].count == 1
 
     def test_count_law_random_shapes(self):
         rng = np.random.default_rng(42)
@@ -182,19 +185,19 @@ class TestPyramidPool:
             expected = sum(
                 (h - k + 1) * (w - k + 1) for k in DEFAULT_PYRAMID.kernel_sizes if k <= min(h, w)
             )
-            assert pyramid_pool(fmap).count == expected
+            assert pooled(fmap)[1].count == expected
 
     def test_columns_match_loop_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             fmap = random_map(rng, int(rng.integers(1, 4)), int(rng.integers(2, 8)), int(rng.integers(2, 8)))
             expected = loop_pool(fmap.values.astype(np.float64), DEFAULT_PYRAMID.kernel_sizes)
-            np.testing.assert_allclose(pyramid_pool(fmap).columns, expected, rtol=1e-6)
+            np.testing.assert_allclose(pooled(fmap)[1].columns, expected, rtol=1e-6)
 
     def test_all_kernels_too_big(self):
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="exceeds"):
-            pyramid_pool(random_map(rng, 1, 2, 2), PyramidSpec((3, 4)))
+            pooled(random_map(rng, 1, 2, 2), PyramidSpec((3, 4)))
 
     def test_kernel_spec_validation(self):
         with pytest.raises(ValueError):
@@ -265,14 +268,14 @@ class TestPoolFeatureMaps:
             maps.append(SpatialFeatureMap(values))
         for i in (3, 40, 75):  # a stack of three maps with H*W > 8192
             maps.insert(i, SpatialFeatureMap(rng.standard_normal((3, 100, 90)).astype(np.float32)))
-        pooled = pool_feature_maps(maps, spec, normalize)
-        assert len(pooled) == len(maps)
+        features = pool_feature_maps(maps, spec, normalize)
+        assert len(features) == len(maps)
         degenerate = 0
-        for fmap, (gap, matrix) in zip(maps, pooled):
-            alone = pyramid_pool(fmap, spec)
+        for fmap, (gap, matrix) in zip(maps, features):
+            alone = FeatureMatrix(pool_columns(fmap.values.astype(np.float64), spec))
             if normalize:
                 alone = l2_normalize_columns(alone)
-            np.testing.assert_array_equal(gap.values, global_average_pool(fmap).values)
+            np.testing.assert_array_equal(gap.values, fmap.values.mean(axis=(1, 2), dtype=np.float64))
             np.testing.assert_array_equal(matrix.columns, alone.columns)
             assert matrix.degenerate_columns == alone.degenerate_columns
             degenerate += len(matrix.degenerate_columns)

@@ -11,9 +11,8 @@ from sfr.metric import (
     TripletBatch,
     batch_hard_mine,
     build_batch,
-    combined_distance,
-    euclidean_distance,
     frozen_step_objective,
+    global_distances,
     sample_batch,
     sfr_triplet_loss,
     step_gradients,
@@ -45,31 +44,43 @@ def line_batch():
     return TripletBatch(samples)
 
 
+def twice_each(a, b):
+    """P=2, K=2 with each of two samples twice: each anchor's positive is a
+    copy of itself, and its negatives are two copies of the other sample."""
+    return TripletBatch((a, a, b, b))
+
+
 class TestEuclideanDistance:
+    # The global term of matching and mining: metric.global_distances.
     def test_identical(self):
-        a = gf([1.0, 2.0])
-        assert euclidean_distance(a, a) == 0.0
+        a = np.array([1.0, 2.0])
+        assert global_distances(a, a[None, :])[0] == 0.0
 
     def test_three_four_five(self):
-        assert euclidean_distance(gf([0.0, 0.0]), gf([3.0, 4.0])) == 5.0
+        assert global_distances(np.zeros(2), np.array([[3.0, 4.0]]))[0] == 5.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
         a, b = rng.standard_normal(9), rng.standard_normal(9)
         expected = sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
-        assert abs(euclidean_distance(gf(a), gf(b)) - expected) < 1e-10
+        assert abs(global_distances(a, b[None, :])[0] - expected) < 1e-10
 
     def test_dim_mismatch(self):
+        spatial = fm(np.eye(2))
+        batch = twice_each(BatchSample("a", gf([1.0]), spatial), BatchSample("b", gf([1.0, 2.0]), spatial))
         with pytest.raises(MismatchError):
-            euclidean_distance(gf([1.0]), gf([1.0, 2.0]))
+            batch_hard_mine(batch, BETA)
 
 
 class TestCombinedDistance:
+    # The mined distances: the global distance plus the anchor's
+    # reconstruction distance from the other sample's dictionary.
     def test_identical_samples_beta_zero(self):
         rng = np.random.default_rng(0)
         spatial = fm(rng.standard_normal((3, 3)) + 3 * np.eye(3))
         s = BatchSample("a", gf([1.0, 2.0, 3.0]), spatial)
-        assert combined_distance(s, s, 0.0) < 1e-10
+        other = BatchSample("b", gf([0.0, 0.0, 0.0]), spatial)
+        assert batch_hard_mine(twice_each(s, other), 0.0)[0].positive_distance < 1e-10
 
     def test_identical_spatial_reduces_to_global_plus_self_residual(self):
         from sfr.reconstruction import sfr_distance
@@ -78,14 +89,16 @@ class TestCombinedDistance:
         spatial = fm(rng.standard_normal((4, 3)))
         a = BatchSample("a", gf([0.0, 0.0, 0.0, 0.0]), spatial)
         b = BatchSample("b", gf([3.0, 4.0, 0.0, 0.0]), spatial)
-        expected = 5.0 + sfr_distance(spatial, spatial, BETA).distance
-        np.testing.assert_allclose(combined_distance(a, b, BETA), expected, rtol=1e-12)
+        expected = 5.0 + sfr_distance(spatial, spatial, BETA)
+        mined = batch_hard_mine(twice_each(a, b), BETA)
+        np.testing.assert_allclose(mined[0].negative_distance, expected, rtol=1e-12)
 
     def test_asymmetry(self):
         rng = np.random.default_rng(2)
         a = BatchSample("a", gf(rng.standard_normal(4)), fm(rng.standard_normal((4, 3))))
         b = BatchSample("b", gf(rng.standard_normal(4)), fm(rng.standard_normal((4, 6))))
-        assert combined_distance(a, b, BETA) != combined_distance(b, a, BETA)
+        mined = batch_hard_mine(twice_each(a, b), BETA)
+        assert mined[0].negative_distance != mined[2].negative_distance
 
 
 class TestBatchHardMine:
@@ -114,7 +127,7 @@ class TestBatchHardMine:
         assert mined[3].positive_idx == 4 and mined[3].negative_idx == 0
         from sfr.reconstruction import sfr_distance
 
-        self_res = sfr_distance(spatial, spatial, BETA).distance
+        self_res = sfr_distance(spatial, spatial, BETA)
         np.testing.assert_allclose(mined[0].positive_distance, self_res, rtol=1e-12)
 
     def test_overflowing_negatives_keep_their_identity(self):

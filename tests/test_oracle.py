@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import sfr.features
 import sfr.oracle
 from sfr.cli import main
 from sfr.errors import FactorizationError
-from sfr.features import FeatureMatrix, pyramid_pool
+from sfr.features import FeatureMatrix, pool_feature_maps
 from sfr.metric import batch_hard_mine
 from sfr.oracle import (
     exhaustive_mine,
@@ -143,15 +144,31 @@ class TestVerifyFailsWrongFastResults:
         assert all(reports[name]["passed"] for name in reports if name != "mining-vs-exhaustive")
 
     def test_pooling_that_drops_a_column(self, monkeypatch, capsys):
-        def drop_last_column(fmap, spec):
-            pooled = pyramid_pool(fmap, spec)
-            return FeatureMatrix(pooled.columns[:, :-1]) if pooled.count > 1 else pooled
+        def drop_last_column(fmaps, spec, normalize):
+            return [
+                (gap, FeatureMatrix(m.columns[:, :-1]) if m.count > 1 else m)
+                for gap, m in pool_feature_maps(fmaps, spec, normalize)
+            ]
 
-        monkeypatch.setattr(sfr.oracle, "pyramid_pool", drop_last_column)
+        monkeypatch.setattr(sfr.oracle, "pool_feature_maps", drop_last_column)
         rc, reports = verify_reports(capsys)
         assert rc == 5
         assert reports["pooling-geometry"]["passed"] is False
         assert reports["pooling-geometry"]["maxRelError"] == float("inf")
+        assert all(reports[name]["passed"] for name in reports if name != "pooling-geometry")
+
+    def test_stacked_pooling_that_scales_its_columns(self, monkeypatch, capsys):
+        # verify judges pool_stack, the pooling that every command runs.
+        pool_stack = sfr.features.pool_stack
+
+        def scaled(stack, spec, normalize):
+            pooled, scales = pool_stack(stack, spec, normalize)
+            return [(gap, FeatureMatrix(m.columns * 1.001)) for gap, m in pooled], scales
+
+        monkeypatch.setattr(sfr.features, "pool_stack", scaled)
+        rc, reports = verify_reports(capsys)
+        assert rc == 5
+        assert reports["pooling-geometry"]["passed"] is False
         assert all(reports[name]["passed"] for name in reports if name != "pooling-geometry")
 
 

@@ -41,10 +41,10 @@ class TestRankingsWriter:
     def test_bytes_equal_per_row_lines(self, rankings):
         lines = ["probeId,rank,entryId,d,r,s\n"]
         for ranking in rankings:
-            for rank, s in enumerate(ranking.scored, start=1):
-                lines.append(
-                    f"{ranking.probe_id},{rank},{s.entry_id},{s.global_dist:.17g},{s.sfr_dist:.17g},{s.fused:.17g}\n"
-                )
+            columns = (ranking.global_dist.tolist(), ranking.sfr_dist.tolist(), ranking.fused.tolist())
+            rows = zip(ranking.entry_ids, *columns)
+            for rank, (entry_id, d, r, s) in enumerate(rows, start=1):
+                lines.append(f"{ranking.probe_id},{rank},{entry_id},{d:.17g},{r:.17g},{s:.17g}\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rankings.csv"
             _write_rankings_csv(path, rankings)

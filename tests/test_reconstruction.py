@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfr.errors import FactorizationError, MismatchError
-from sfr.features import FeatureMatrix, SpatialFeatureMap, l2_normalize_columns, pyramid_pool
+from sfr.features import FeatureMatrix, SpatialFeatureMap, l2_normalize_columns, pool_feature_maps
 from sfr.oracle import finite_difference, relative_error, ridge_oracle
 from sfr.reconstruction import (
     ReconstructionCoefficients,
@@ -77,19 +77,17 @@ class TestSfrDistance:
     def test_orthonormal_closed_form(self):
         # W = I/(1+beta): every residual column has norm beta/(1+beta).
         x = fm(np.eye(4)[:, :2])
-        res = sfr_distance(x, x, 1.0)
-        np.testing.assert_allclose(res.distance, 0.5, atol=1e-12)
+        np.testing.assert_allclose(sfr_distance(x, x, 1.0), 0.5, atol=1e-12)
 
     def test_scalar_case(self):
-        res = sfr_distance(fm([[2.0]]), fm([[1.0]]), 0.001)
-        np.testing.assert_allclose(res.distance, 0.001998, atol=1e-6)
+        np.testing.assert_allclose(sfr_distance(fm([[2.0]]), fm([[1.0]]), 0.001), 0.001998, atol=1e-6)
 
     def test_span_membership_zero_distance(self):
         rng = np.random.default_rng(42)
         y = fm(rng.standard_normal((4, 4)) + 3 * np.eye(4))
         coeffs = rng.standard_normal((4, 3))
         x = fm(y.columns @ coeffs)
-        assert sfr_distance(x, y, 0.0).distance < 1e-10
+        assert sfr_distance(x, y, 0.0) < 1e-10
 
     def test_zero_iff_span_membership_tall_dictionary(self):
         # full-column-rank Y with fewer columns than rows: distance vanishes
@@ -98,26 +96,26 @@ class TestSfrDistance:
         basis, _ = np.linalg.qr(rng.standard_normal((5, 3)))
         y = fm(basis)
         inside = fm(basis @ rng.standard_normal((3, 2)))
-        assert sfr_distance(inside, y, 0.0).distance < 1e-10
+        assert sfr_distance(inside, y, 0.0) < 1e-10
         complement = np.eye(5) - basis @ basis.T
         outside = fm(complement @ rng.standard_normal((5, 2)) + 1e-3 * basis[:, :2])
-        assert sfr_distance(outside, y, 0.0).distance > 1e-3
+        assert sfr_distance(outside, y, 0.0) > 1e-3
 
     def test_distance_matches_residual_recomputation(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             x, y = random_instance(rng)
-            res = sfr_distance(x, y, 0.01)
-            np.testing.assert_array_equal(res.residual, x.columns - y.columns @ res.coefficients.matrix)
-            recomputed = float(np.linalg.norm(res.residual, axis=0).mean())
-            assert abs(res.distance - recomputed) <= 1e-10
-            assert res.distance >= 0.0
+            r = sfr_distance(x, y, 0.01)
+            residual = x.columns - y.columns @ solve_coefficients(x, y, 0.01).matrix
+            recomputed = float(np.linalg.norm(residual, axis=0).mean())
+            assert abs(r - recomputed) <= 1e-10
+            assert r >= 0.0
 
     def test_asymmetric(self):
         rng = np.random.default_rng(5)
         x = fm(rng.standard_normal((6, 3)))
         y = fm(rng.standard_normal((6, 8)))
-        assert sfr_distance(x, y, 0.01).distance != sfr_distance(y, x, 0.01).distance
+        assert sfr_distance(x, y, 0.01) != sfr_distance(y, x, 0.01)
 
     def test_residual_monotone_in_beta(self):
         rng = np.random.default_rng(6)
@@ -184,15 +182,15 @@ class TestObjective:
         # an all-zero dictionary explains nothing: W = 0 and the residual is X
         rng = np.random.default_rng(9)
         x, y = fm(rng.standard_normal((5, 3))), fm(np.zeros((5, 4)))
-        res = sfr_distance(x, y, 0.5)
-        np.testing.assert_array_equal(res.coefficients.matrix, np.zeros((4, 3)))
-        np.testing.assert_array_equal(res.residual, x.columns)
-        got = ridge_objective(x, y, res.coefficients.matrix, 0.5)
+        w = solve_coefficients(x, y, 0.5).matrix
+        np.testing.assert_array_equal(w, np.zeros((4, 3)))
+        assert sfr_distance(x, y, 0.5) == float(np.linalg.norm(x.columns, axis=0).mean())
+        got = ridge_objective(x, y, w, 0.5)
         np.testing.assert_allclose(got, np.sum(x.columns**2), rtol=1e-12)
 
     def test_scalar_value(self):
         x, y = fm([[2.0]]), fm([[1.0]])
-        w = sfr_distance(x, y, 0.001).coefficients.matrix
+        w = solve_coefficients(x, y, 0.001).matrix
         np.testing.assert_allclose(ridge_objective(x, y, w, 0.001), 0.0039960, atol=1e-7)
 
     def test_solved_coefficients_are_optimal(self):
@@ -239,7 +237,7 @@ class TestReconstructionScorer:
         got = ReconstructionScorer(ys, beta).distances(x)
         assert got.shape == (len(ys),)
         for y, r in zip(ys, got):
-            assert abs(r - sfr_distance(x, y, beta).distance) <= 1e-12
+            assert abs(r - sfr_distance(x, y, beta)) <= 1e-12
             w = ridge_oracle(x, y, beta)
             assert abs(r - np.linalg.norm(x.columns - y.columns @ w, axis=0).mean()) <= 1e-8
 
@@ -419,8 +417,12 @@ class TestPivotGuard:
         # the dual shape (d = 64 < M = 86, rank 36), where the dual form was
         # off by 6e-8 relative.
         rng = np.random.default_rng(5)
-        gallery = pyramid_pool(SpatialFeatureMap(rng.gamma(2.0, 0.5, (64, *gallery_hw)) * 100))
-        probe = pyramid_pool(SpatialFeatureMap(rng.gamma(2.0, 0.5, (64, 2, 3)) * 100))
+
+        def raw_columns(hw):
+            fmap = SpatialFeatureMap(rng.gamma(2.0, 0.5, (64, *hw)) * 100)
+            return pool_feature_maps([fmap], normalize=False)[0][1]
+
+        gallery, probe = raw_columns(gallery_hw), raw_columns((2, 3))
         r = ReconstructionScorer([gallery], 1e-3).distances(probe)[0]
         assert r == pytest.approx(augmented_distance(probe.columns, gallery.columns, 1e-3), rel=1e-12, abs=0)
 

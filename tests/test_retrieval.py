@@ -1,11 +1,13 @@
 """Gallery matching, score fusion, and CMC/mAP evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from sfr.errors import FormatError, MismatchError
 from sfr.features import FeatureMatrix, GlobalFeature
-from sfr.metric import euclidean_distance
+from sfr.metric import global_distances
 from sfr.reconstruction import sfr_distance
 from sfr.retrieval import (
     RetrievalRanking,
@@ -78,9 +80,9 @@ class TestMatchProbe:
         gallery = build_gallery(entries, 1.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
-        d = [euclidean_distance(probe[0], g) for g, _ in entries.values()]
+        d = [global_distances(probe[0].values, g.values[None, :])[0] for g, _ in entries.values()]
         expected = [list(entries)[i] for i in np.argsort(d, kind="stable")]
-        assert [s.entry_id for s in ranking.scored] == expected
+        assert list(ranking.entry_ids) == expected
 
     def test_alpha_zero_is_sfr_ordering(self):
         rng = np.random.default_rng(43)
@@ -88,35 +90,36 @@ class TestMatchProbe:
         gallery = build_gallery(entries, 0.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
-        r = [sfr_distance(probe[1], m, BETA).distance for _, m in entries.values()]
+        r = [sfr_distance(probe[1], m, BETA) for _, m in entries.values()]
         expected = [list(entries)[i] for i in np.argsort(r, kind="stable")]
-        assert [s.entry_id for s in ranking.scored] == expected
+        assert list(ranking.entry_ids) == expected
 
     def test_self_probe_ranks_first(self):
         rng = np.random.default_rng(44)
         entries = random_entries(rng, 15)
         gallery = build_gallery(entries, 0.7, BETA)
         ranking = match_probe(entries["g6"], gallery, "p")
-        assert ranking.scored[0].entry_id == "g6"
+        assert ranking.entry_ids[0] == "g6"
 
     def test_fusion_linear_exact(self):
         rng = np.random.default_rng(45)
         alpha = 0.37
         gallery = random_gallery(rng, 10, alpha=alpha)
         probe = self.probe_from(rng)
-        for s in match_probe(probe, gallery, "p").scored:
-            assert s.fused == alpha * s.global_dist + (1.0 - alpha) * s.sfr_dist
+        ranking = match_probe(probe, gallery, "p")
+        for d, r, s in zip(ranking.global_dist.tolist(), ranking.sfr_dist.tolist(), ranking.fused.tolist()):
+            assert s == alpha * d + (1.0 - alpha) * r
 
     def test_contains_every_entry_once(self):
         rng = np.random.default_rng(46)
         entries = random_entries(rng, 12)
         ranking = match_probe(self.probe_from(rng), build_gallery(entries, 0.7, BETA), "p")
-        assert sorted(s.entry_id for s in ranking.scored) == sorted(entries)
+        assert sorted(ranking.entry_ids) == sorted(entries)
 
     def test_sorted_ascending(self):
         rng = np.random.default_rng(47)
         ranking = match_probe(self.probe_from(rng), random_gallery(rng, 25), "p")
-        fused = [s.fused for s in ranking.scored]
+        fused = ranking.fused.tolist()
         assert fused == sorted(fused)
 
     def test_ties_keep_gallery_order(self):
@@ -127,7 +130,7 @@ class TestMatchProbe:
         gallery = build_gallery(entries, 0.7, BETA)
         probe = (GlobalFeature(rng.standard_normal(4)), FeatureMatrix(rng.standard_normal((4, 2))))
         ranking = match_probe(probe, gallery, "p")
-        assert [s.entry_id for s in ranking.scored] == [f"e{i}" for i in range(5)]
+        assert list(ranking.entry_ids) == [f"e{i}" for i in range(5)]
 
     def test_probe_dim_mismatch(self):
         rng = np.random.default_rng(48)
@@ -249,6 +252,29 @@ class TestManifests:
         with pytest.raises(FormatError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("subjectId", None), ("entryId", None), ("path", True), ("subjectId", False), ("entryId", ["a"]), ("path", {})],
+        ids=["subject-null", "entry-null", "path-true", "subject-false", "entry-array", "path-object"],
+    )
+    def test_value_that_is_not_text(self, tmp_path, key, value):
+        # str() would read null as the subject "None", which two entries could share.
+        lines = [
+            {"entryId": "b", "subjectId": "s", "path": "y"},
+            {"entryId": "a", "subjectId": "s", "path": "x", key: value},
+        ]
+        path = tmp_path / "m.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(FormatError, match=f":2: .*{key}"):
+            load_manifest(path)
+
+    def test_numbers_read_as_text(self, tmp_path):
+        from sfr.retrieval import ManifestEntry
+
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"entryId": 7, "subjectId": 1.5, "path": "x"}\n')
+        assert load_manifest(path) == [ManifestEntry("7", "1.5", "x")]
+
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("\n")
@@ -281,8 +307,6 @@ class TestEvalOutputs:
         assert path.read_text() == "rank,cmc\n1,0.5\n2,1\n"
 
     def test_summary_json(self, tmp_path):
-        import json
-
         subject_of = {"g1": "x", "g2": "t", "g3": "y"}
         report = evaluate([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
         path = tmp_path / "summary.json"

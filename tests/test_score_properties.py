@@ -125,8 +125,8 @@ def test_probe_and_entry_roles_are_not_interchangeable(case, alpha, beta):
         return float(match_probe(query, build_gallery({"e": stored}, alpha, beta)).sfr_dist[0])
 
     forward, backward = r(probe, entry), r(entry, probe)
-    expected_forward = sfr_distance(probe[1], entry[1], beta).distance
-    expected_backward = sfr_distance(entry[1], probe[1], beta).distance
+    expected_forward = sfr_distance(probe[1], entry[1], beta)
+    expected_backward = sfr_distance(entry[1], probe[1], beta)
     assert abs(forward - expected_forward) <= ROUNDING * expected_forward + 1e-12, (forward, expected_forward)
     assert abs(backward - expected_backward) <= ROUNDING * expected_backward + 1e-12, (backward, expected_backward)
     if abs(expected_forward - expected_backward) > 1e-6 * max(expected_forward, expected_backward):
