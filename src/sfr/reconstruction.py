@@ -1,11 +1,15 @@
 """Ridge reconstruction of one spatial feature set from another.
 
 The coefficients W minimize ||X - Y W||_F^2 + beta ||W||_F^2 and come in
-closed form from the normal equations (Y^T Y + beta I) W = Y^T X, factored
-with a Cholesky decomposition of the regularized Gram matrix. The
-reconstruction distance is the mean l2 norm of the residual
-columns of X - Y W; ReconstructionScorer computes it for one probe against
-many dictionaries at once. During training the gradients of the squared
+closed form from the normal equations (Y^T Y + beta I) W = Y^T X. The
+regularized Gram matrices of same-shape dictionaries are factored as one
+stack: one Cholesky call, then the inverse factors L^{-1} by forward
+substitution over the whole stack, so that each solve and each scoring
+operator is a few matrix products. A dictionary's slice goes through the
+same calls whether its stack holds one dictionary or many. The
+reconstruction distance is the mean l2 norm of the residual columns of
+X - Y W; ReconstructionScorer computes it for one probe against many
+dictionaries at once. During training the gradients of the squared
 Frobenius residual are used instead, with W held fixed by the alternating
 scheme.
 """
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import FactorizationError, MismatchError
 from .features import FeatureMatrix, group_by_shape
@@ -37,77 +40,119 @@ class ReconstructionCoefficients:
         object.__setattr__(self, "matrix", m)
 
 
-def _cholesky(gram: np.ndarray, beta: float, min_pivot_ratio: float) -> np.ndarray | None:
-    """Lower Cholesky factor of a regularized Gram matrix, from LAPACK potrf
-    with the arguments scipy's cho_factor passes (its upper triangle keeps
-    the Gram entries), or None when the matrix is not positive definite or
-    its smallest pivot is at most min_pivot_ratio times its largest
-    ((max/min)^2 bounds the condition number below). A non-finite Gram
-    matrix, as a non-finite beta makes, raises ValueError."""
-    if not np.isfinite(gram).all():
+def _cholesky(grams: np.ndarray, beta: float, min_pivot_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack of regularized Gram matrices, from
+    one np.linalg.cholesky call, and a mask of the slices that pass: positive
+    definite, with the smallest pivot above min_pivot_ratio times the largest
+    ((max/min)^2 bounds the condition number below). A slice that is not
+    positive definite fails the whole call; the stack is then factored one
+    slice at a time to find it (a slice gets the same bits either way), and
+    its factor is left as the identity. A non-finite Gram matrix, as a
+    non-finite beta makes, raises ValueError."""
+    if not np.isfinite(grams).all():
         raise ValueError(f"gram matrix contains non-finite values (beta={beta})")
-    factor, info = lapack.dpotrf(gram, lower=1, clean=0)
-    diag = np.abs(np.diag(factor))
-    if info > 0 or diag.min() <= diag.max() * min_pivot_ratio:
-        return None
-    return factor
+    passed = np.ones(len(grams), dtype=bool)
+    try:
+        factors = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(grams)
+        for k, gram in enumerate(grams):
+            try:
+                factors[k] = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                factors[k] = np.eye(len(gram))
+                passed[k] = False
+    pivots = np.diagonal(factors, axis1=1, axis2=2)
+    passed &= pivots.min(axis=1) > pivots.max(axis=1) * min_pivot_ratio
+    return factors, passed
+
+
+def _inverse_lower(factors: np.ndarray) -> np.ndarray:
+    """L^{-1} of each lower-triangular slice, by forward substitution over
+    the whole stack: below the diagonal, row i is (L[i, :i] / -L_ii)
+    L^{-1}[:i, :i], one stacked product per row."""
+    pivots = np.diagonal(factors, axis1=1, axis2=2)
+    scaled = factors / -pivots[:, :, None]
+    inverse = np.zeros_like(factors)
+    diagonal = np.arange(factors.shape[1])
+    inverse[:, diagonal, diagonal] = 1.0 / pivots
+    for i in range(1, factors.shape[1]):
+        np.matmul(scaled[:, i : i + 1, :i], inverse[:, :i, :i], out=inverse[:, i : i + 1, :i])
+    return inverse
+
+
+def _regularized_grams(dictionaries: Sequence[FeatureMatrix], beta: float, dual: bool) -> np.ndarray:
+    """Y^T Y + beta I of each same-shape dictionary, or Y Y^T + beta I when
+    dual, as one stack."""
+    size = dictionaries[0].dim if dual else dictionaries[0].count
+    grams = np.empty((len(dictionaries), size, size))
+    for gram, y in zip(grams, dictionaries):
+        c = y.columns.T if dual else y.columns
+        np.matmul(c.T, c, out=gram)
+    grams += beta * np.eye(size)
+    return grams
+
+
+def _primal_inverse_factors(dictionaries: Sequence[FeatureMatrix], beta: float) -> np.ndarray:
+    """L^{-1} of Y^T Y + beta I = L L^T for each same-shape dictionary, as
+    one stack; FactorizationError for the first one that is not positive
+    definite or, at beta = 0, numerically singular."""
+    if beta < 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
+    grams = _regularized_grams(dictionaries, beta, dual=False)
+    # potrf can sneak past an exactly singular matrix with a rounded
+    # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams. At
+    # beta > 0 a rank-deficient Y leaves tiny pivots in directions that
+    # Y W does not reach, so the distance stays exact and no bound applies.
+    factors, passed = _cholesky(grams, beta, 1e-7 if beta == 0.0 else 0.0)
+    if not passed.all():
+        gram = grams[np.argmin(passed)]
+        raise FactorizationError(
+            f"gram matrix not positive definite or numerically singular "
+            f"(beta={beta}, cond~{float(np.linalg.cond(gram)):.3e}); use a larger beta"
+        )
+    return _inverse_lower(factors)
 
 
 class DictionaryFactor:
-    """Cholesky factor of (Y^T Y + beta I), reusable across many probes
-    reconstructed against the same dictionary Y."""
+    """Inverse Cholesky factor L^{-1} of Y^T Y + beta I = L L^T, reusable
+    across many probes reconstructed against the same dictionary Y.
+    inverse_factor is the dictionary's slice of a scorer's stacked factors;
+    without it the dictionary is factored as a stack of one, through the
+    same calls and so to the same bits."""
 
-    __slots__ = ("dictionary", "_factor")
+    __slots__ = ("dictionary", "_inverse")
 
-    def __init__(self, dictionary: FeatureMatrix, beta: float):
-        if beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {beta}")
-        y = dictionary.columns
-        gram = y.T @ y + beta * np.eye(dictionary.count)
-        # potrf can sneak past an exactly singular matrix with a rounded
-        # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams. At
-        # beta > 0 a rank-deficient Y leaves tiny pivots in directions that
-        # Y W does not reach, so the distance stays exact and no bound applies.
-        factor = _cholesky(gram, beta, 1e-7 if beta == 0.0 else 0.0)
-        if factor is None:
-            raise FactorizationError(
-                f"gram matrix not positive definite or numerically singular "
-                f"(beta={beta}, cond~{float(np.linalg.cond(gram)):.3e}); use a larger beta"
-            )
-        self._factor = factor
+    def __init__(self, dictionary: FeatureMatrix, beta: float, inverse_factor: np.ndarray | None = None):
+        if inverse_factor is None:
+            inverse_factor = _primal_inverse_factors([dictionary], beta)[0]
+        self._inverse = inverse_factor
         self.dictionary = dictionary
 
     def solve(self, x: FeatureMatrix) -> ReconstructionCoefficients:
+        """W = L^{-T} L^{-1} Y^T X."""
         if x.dim != self.dictionary.dim:
             raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dictionary.dim}")
-        w, _ = lapack.dpotrs(self._factor, self.dictionary.columns.T @ x.columns, lower=1)
-        return ReconstructionCoefficients(w)
-
-    def whitened_dictionary(self) -> np.ndarray:
-        """B = Y L^{-T} (d x M) for Y^T Y + beta I = L L^T, so that the
-        reconstruction Y W = Y (L L^T)^{-1} Y^T X is B B^T X."""
-        b_t, _ = lapack.dtrtrs(self._factor, self.dictionary.columns.T, lower=1)
-        return b_t.T
+        inverse = self._inverse
+        return ReconstructionCoefficients(inverse.T @ (inverse @ (self.dictionary.columns.T @ x.columns)))
 
 
-def _dual_residual_operator(dictionary: FeatureMatrix, beta: float) -> np.ndarray | None:
-    """A = beta (Y Y^T + beta I)^{-1} (d x d) for beta > 0: the residual of X
-    against Y is A X. A is symmetrized once, so X^T A is the residual's
-    transpose up to the rounding of the product.
+def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = beta (Y Y^T + beta I)^{-1} (d x d) for beta > 0, for each
+    same-shape dictionary whose K = Y Y^T + beta I passes the pivot rule
+    below, stacked, and the mask of those dictionaries: the residual of X
+    against Y is A X. A is symmetrized, so X^T A is the residual's transpose
+    up to the rounding of the product.
 
     A's rounding error is about eps * cond(K) relative to X, and cond(K)
     reaches ||Y||^2 / beta when Y's rank is below d: at beta = 1e-15 a
-    rank-31 32 x 122 unit-column Y gave r = 0.2378 for a true 0.1274. So
-    None is returned, for the primal form to score Y, unless K's pivots
-    differ by a factor below 1e4 (a condition number below 1e8)."""
-    y = dictionary.columns
-    identity = np.eye(dictionary.dim)
-    factor = _cholesky(y @ y.T + beta * identity, beta, 1e-4)
-    if factor is None:
-        return None
-    k_inv, _ = lapack.dpotrs(factor, identity, lower=1)
-    a = beta * k_inv
-    return 0.5 * (a + a.T)
+    rank-31 32 x 122 unit-column Y gave r = 0.2378 for a true 0.1274. So a
+    dictionary is left out, for the primal form to score it, unless K's
+    pivots differ by a factor below 1e4 (a condition number below 1e8)."""
+    factors, passed = _cholesky(_regularized_grams(dictionaries, beta, dual=True), beta, 1e-4)
+    inverse = _inverse_lower(factors[passed])
+    a = beta * (inverse.transpose(0, 2, 1) @ inverse)
+    return 0.5 * (a + a.transpose(0, 2, 1)), passed
 
 
 class ReconstructionScorer:
@@ -120,18 +165,19 @@ class ReconstructionScorer:
       residual is A X with A = beta K^{-1}, K = Y Y^T + beta I, because
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
       X - Y W cancellation, and the d x d operator is smaller than Y;
-    - otherwise (primal): the residual is X - Y W with Y W = B B^T X, B
-      the DictionaryFactor's whitened dictionary, which rejects a singular
-      Gram matrix at beta = 0.
-    A K too ill-conditioned for the dual form, where its rounding could
-    return a plausible but wrong distance, sends its dictionary to the
-    primal form, which stays exact there.
-    A dictionary's slice goes through the same products whatever else is
-    stacked with it, so a pair's distance does not depend, bit for bit, on
-    the other dictionaries in the scorer. solve() reuses the factor that
-    scoring made for a primal dictionary and factors a dual one on its
-    first solve, so no dictionary is factored twice. The scorer keeps a
-    reference to each dictionary.
+    - otherwise (primal): the residual is X - Y W with Y W = B B^T X and
+      B = Y L^{-T}, G = Y^T Y + beta I = L L^T; a singular G at beta = 0
+      raises FactorizationError.
+    Each group's K or G matrices are factored as one stack. A K too
+    ill-conditioned for the dual form, where its rounding could return a
+    plausible but wrong distance, sends its dictionary to the primal form,
+    which stays exact there.
+    A dictionary's slice goes through the same factorization and products
+    whatever else is stacked with it, so a pair's distance does not depend,
+    bit for bit, on the other dictionaries in the scorer. solve() reuses the
+    factor that scoring made for a primal dictionary and factors a dual one
+    on its first solve, so no dictionary is factored twice. The scorer keeps
+    a reference to each dictionary.
     """
 
     def __init__(self, dictionaries: Sequence[FeatureMatrix], beta: float):
@@ -152,25 +198,21 @@ class ReconstructionScorer:
         # reduces a contiguous row.
         self._groups = []
         for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
-            # Operators are written into preallocated stacks, as a list of
-            # them and its stacked copy would double the peak memory.
-            dual_ops = np.empty((len(positions), dim, dim)) if beta > 0 and dim < count else None
-            dual_ids, primal_ids = [], []
-            for i in positions:
-                a = None if dual_ops is None else _dual_residual_operator(dictionaries[i], beta)
-                if a is None:
-                    self._factors[i] = DictionaryFactor(dictionaries[i], beta)
-                    primal_ids.append(i)
-                else:
-                    dual_ops[len(dual_ids)] = a
-                    dual_ids.append(i)
-            if dual_ids:
-                self._groups.append((np.array(dual_ids), True, dual_ops[: len(dual_ids)]))
-            if primal_ids:
-                operators = np.empty((len(primal_ids), dim, count))
-                for k, i in enumerate(primal_ids):
-                    operators[k] = self._factors[i].whitened_dictionary()
-                self._groups.append((np.array(primal_ids), False, operators))
+            if beta > 0 and dim < count:
+                operators, dual = _dual_residual_operators([dictionaries[i] for i in positions], beta)
+                if dual.any():
+                    self._groups.append((np.array(positions)[dual], True, operators))
+                positions = [i for i, d in zip(positions, dual) if not d]
+            if positions:
+                primal = [dictionaries[i] for i in positions]
+                inverse = _primal_inverse_factors(primal, beta)
+                # B = Y L^{-T}, written into a preallocated stack, as a list
+                # of them and its stacked copy would double the peak memory.
+                operators = np.empty((len(positions), dim, count))
+                for k, (i, y) in enumerate(zip(positions, primal)):
+                    self._factors[i] = DictionaryFactor(y, beta, inverse[k])
+                    np.matmul(y.columns, inverse[k].T, out=operators[k])
+                self._groups.append((np.array(positions), False, operators))
 
     def solve(self, j: int, x: FeatureMatrix) -> ReconstructionCoefficients:
         """Ridge coefficients of x against dictionary j, the bits of

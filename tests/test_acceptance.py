@@ -1,11 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from sfr.cli import main
 from sfr.encoder import ConvLayer, EncoderParams, init_params

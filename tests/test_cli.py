@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,3 +399,24 @@ def test_every_exported_name_resolves():
     import sfr
 
     assert [name for name in sfr.__all__ if not hasattr(sfr, name)] == []
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: scipy would load a second BLAS
+    # into every process. A fresh interpreter runs a match (d = 6 below the
+    # 20 pyramid columns: the dual form) and a one-epoch demo (d = 64 above
+    # them: the primal form), then lists the scipy modules it imported.
+    rng = np.random.default_rng(3)
+    gallery, probes = make_set(tmp_path, rng, "gal", 3, 2), make_set(tmp_path, rng, "prb", 3, 1)
+    code = (
+        "import sys; from sfr.cli import main; "
+        f"codes = [main(['match', '--gallery', {str(gallery)!r}, '--probes', {str(probes)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]), "
+        f"main(['train-demo', '--out', {str(tmp_path / 'demo')!r}, '--epochs', '1'])]; "
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # One epoch does not reach rank-1 0.95, so the demo exits 4.
+    assert result.stdout.splitlines()[-1] == "[0, 4] []"

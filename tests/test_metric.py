@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfr.encoder import ConvLayer, EncoderParams, ToyImage, encode_forward, init_params
+from sfr.encoder import ConvLayer, EncoderParams, encode_forward, init_params
 from sfr.errors import MismatchError
 from sfr.features import FeatureMatrix, GlobalFeature, PyramidSpec, pool_stack
 from sfr.metric import (
