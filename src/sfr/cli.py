@@ -21,16 +21,18 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .encoder import encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import FeatureMatrix, GlobalFeature, PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
+from .features import _CHUNK_MAPS, PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
     GalleryIndex,
+    Pooled,
     RetrievalRanking,
     build_gallery,
     evaluate,
@@ -157,20 +159,28 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-def _load_pooled(manifest, manifest_path, cfg: RunConfig) -> dict[str, tuple[GlobalFeature, FeatureMatrix]]:
-    """A manifest's {entry id: (global, spatial)}: each map's global average
-    and its pyramid-pooled columns, normalized when cfg says so, pooled per
-    map shape. A relative map path is relative to the manifest; an absolute
+def _load_pooled(manifest, manifest_path, cfg: RunConfig) -> Iterator[tuple[str, Pooled]]:
+    """A manifest's (entry id, (global, spatial)) pairs, in manifest order:
+    each map's global average and its pyramid-pooled columns, normalized when
+    cfg says so. Maps are loaded and pooled in blocks of _CHUNK_MAPS
+    consecutive entries, and no block is held here once its last pair has
+    been taken. A relative map path is relative to the manifest; an absolute
     one replaces the base."""
     base = Path(manifest_path).resolve().parent
-    fmaps = [load_feature_map(base / m.path) for m in manifest]
-    return dict(zip((m.entry_id for m in manifest), pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)))
+    for start in range(0, len(manifest), _CHUNK_MAPS):
+        block = manifest[start:start + _CHUNK_MAPS]
+        # No local holds the maps or the pooled list: a local would keep this
+        # block alive while the next one is loaded.
+        yield from zip(
+            (m.entry_id for m in block),
+            pool_feature_maps([load_feature_map(base / m.path) for m in block], cfg.pyramid(), cfg.normalize),
+        )
 
 
-def _rank(gallery: GalleryIndex, probes: dict[str, tuple[GlobalFeature, FeatureMatrix]]) -> list[RetrievalRanking]:
-    """Each probe of {probe id: (global, spatial)} ranked against the gallery,
-    in the mapping's order."""
-    return [match_probe(pooled, gallery, probe_id) for probe_id, pooled in probes.items()]
+def _rank(gallery: GalleryIndex, probes: Iterable[tuple[str, Pooled]]) -> list[RetrievalRanking]:
+    """Each probe of (probe id, (global, spatial)) pairs ranked against the
+    gallery, in their order."""
+    return [match_probe(pooled, gallery, probe_id) for probe_id, pooled in probes]
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
@@ -273,11 +283,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
     def pooled(pool, prefix):
-        # ({view id: subject id}, {view id: (global, spatial)}) of one pool's views
+        # {view id: subject id} and (view id, (global, spatial)) pairs of one pool's views
         views = [(label, i, img) for label, imgs in sorted(pool.items()) for i, img in enumerate(imgs)]
         subjects = {f"{prefix}{label}_{i}": str(label) for label, i, _ in views}
         fmaps = [encode(img, params) for _, _, img in views]
-        return subjects, dict(zip(subjects, pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize)))
+        return subjects, zip(subjects, pool_feature_maps(fmaps, cfg.pyramid(), cfg.normalize))
 
     subject_of, entries = pooled(gallery_pool, "g")
     truth, probes = pooled(probe_pool, "p")

@@ -8,10 +8,11 @@ substitution over the whole stack, so that each solve and each scoring
 operator is a few matrix products. A dictionary's slice goes through the
 same calls whether its stack holds one dictionary or many. The
 reconstruction distance is the mean l2 norm of the residual columns of
-X - Y W; ReconstructionScorer computes it for one probe against many
-dictionaries at once. During training the gradients of the squared
-Frobenius residual are used instead, with W held fixed by the alternating
-scheme.
+X - Y W; residual_operators builds the stacked scoring operators of many
+dictionaries and residual_distances scores one probe against all of them,
+for ReconstructionScorer (mining) and for a gallery block (matching).
+During training the gradients of the squared Frobenius residual are used
+instead, with W held fixed by the alternating scheme.
 """
 
 from __future__ import annotations
@@ -155,12 +156,13 @@ def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float)
     return 0.5 * (a + a.transpose(0, 2, 1)), passed
 
 
-class ReconstructionScorer:
-    """Reconstruction distances of one probe against a fixed list of
-    dictionaries, returned as one vector in list order.
+def residual_operators(
+    dictionaries: Sequence[FeatureMatrix], beta: float
+) -> tuple[list[tuple[np.ndarray, bool, np.ndarray]], dict[int, np.ndarray]]:
+    """The scoring operators of same-dim dictionaries, grouped by column count
+    M, and the L^{-1} of each primal dictionary by its position in the list.
 
-    Dictionaries are grouped by column count M, and each group stacks one
-    operator per dictionary and is scored with batched matrix products:
+    Each group is (positions, dual, stacked operators), in one of two forms:
     - dual (beta > 0, d < M, and K's pivots within a factor of 1e4): the
       residual is A X with A = beta K^{-1}, K = Y Y^T + beta I, because
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
@@ -171,13 +173,67 @@ class ReconstructionScorer:
     Each group's K or G matrices are factored as one stack. A K too
     ill-conditioned for the dual form, where its rounding could return a
     plausible but wrong distance, sends its dictionary to the primal form,
-    which stays exact there.
-    A dictionary's slice goes through the same factorization and products
-    whatever else is stacked with it, so a pair's distance does not depend,
-    bit for bit, on the other dictionaries in the scorer. solve() reuses the
-    factor that scoring made for a primal dictionary and factors a dual one
-    on its first solve, so no dictionary is factored twice. The scorer keeps
-    a reference to each dictionary.
+    which stays exact there. A dictionary's slice goes through the same
+    factorization and products whatever else is stacked with it, so its
+    operator, and a pair's distance, do not depend, bit for bit, on the
+    other dictionaries in the list. Scoring (residual_distances) reads only
+    the groups, which hold no reference to the dictionaries.
+    """
+    dim = dictionaries[0].dim
+    groups: list[tuple[np.ndarray, bool, np.ndarray]] = []
+    inverses: dict[int, np.ndarray] = {}
+    for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
+        if beta > 0 and dim < count:
+            operators, dual = _dual_residual_operators([dictionaries[i] for i in positions], beta)
+            if dual.any():
+                groups.append((np.array(positions)[dual], True, operators))
+            positions = [i for i, d in zip(positions, dual) if not d]
+        if positions:
+            primal = [dictionaries[i] for i in positions]
+            inverse = _primal_inverse_factors(primal, beta)
+            # B = Y L^{-T}, written into a preallocated stack, as a list
+            # of them and its stacked copy would double the peak memory.
+            operators = np.empty((len(positions), dim, count))
+            for k, (i, y) in enumerate(zip(positions, primal)):
+                inverses[i] = inverse[k]
+                np.matmul(y.columns, inverse[k].T, out=operators[k])
+            groups.append((np.array(positions), False, operators))
+    return groups, inverses
+
+
+def residual_distances(groups: list[tuple[np.ndarray, bool, np.ndarray]], size: int, x: FeatureMatrix) -> np.ndarray:
+    """Mean residual column norm of x against each of the `size` dictionaries
+    whose operator groups residual_operators returned, in list order."""
+    # The residual is formed transposed, one row per probe column, so that
+    # each column norm reduces a contiguous row.
+    xt = x.columns.T
+    out = np.empty(size)
+    for positions, dual, operators in groups:
+        # One residual-sized buffer, updated in place: a second one of
+        # that size per call made scoring several times slower.
+        if dual:
+            residual_t = xt @ operators
+        else:
+            residual_t = (xt @ operators) @ operators.transpose(0, 2, 1)
+            np.subtract(xt, residual_t, out=residual_t)
+        np.square(residual_t, out=residual_t)
+        out[positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
+    if not np.isfinite(out).all():
+        raise ValueError("reconstruction distances contain non-finite values")
+    return out
+
+
+class ReconstructionScorer:
+    """Reconstruction distances of one probe against a fixed list of
+    dictionaries, returned as one vector in list order, and the ridge
+    coefficients against any of them.
+
+    Scoring goes through residual_operators and residual_distances, which
+    matching uses too, so a pair's distance has the same bits here as in a
+    gallery block. solve() reuses the factor that scoring made for a primal
+    dictionary and factors a dual one on its first solve, so no dictionary
+    is factored twice. For solve the scorer keeps a reference to each
+    dictionary and each primal factor.
     """
 
     def __init__(self, dictionaries: Sequence[FeatureMatrix], beta: float):
@@ -192,27 +248,8 @@ class ReconstructionScorer:
         self.size = len(dictionaries)
         self._beta = float(beta)
         self._dictionaries = dictionaries
-        self._factors: dict[int, DictionaryFactor] = {}
-        # (positions, dual, stacked operators); the residual is formed
-        # transposed, one row per probe column, so that each column norm
-        # reduces a contiguous row.
-        self._groups = []
-        for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
-            if beta > 0 and dim < count:
-                operators, dual = _dual_residual_operators([dictionaries[i] for i in positions], beta)
-                if dual.any():
-                    self._groups.append((np.array(positions)[dual], True, operators))
-                positions = [i for i, d in zip(positions, dual) if not d]
-            if positions:
-                primal = [dictionaries[i] for i in positions]
-                inverse = _primal_inverse_factors(primal, beta)
-                # B = Y L^{-T}, written into a preallocated stack, as a list
-                # of them and its stacked copy would double the peak memory.
-                operators = np.empty((len(positions), dim, count))
-                for k, (i, y) in enumerate(zip(positions, primal)):
-                    self._factors[i] = DictionaryFactor(y, beta, inverse[k])
-                    np.matmul(y.columns, inverse[k].T, out=operators[k])
-                self._groups.append((np.array(positions), False, operators))
+        self._groups, inverses = residual_operators(dictionaries, beta)
+        self._factors = {i: DictionaryFactor(dictionaries[i], beta, inverse) for i, inverse in inverses.items()}
 
     def solve(self, j: int, x: FeatureMatrix) -> ReconstructionCoefficients:
         """Ridge coefficients of x against dictionary j, the bits of
@@ -225,21 +262,7 @@ class ReconstructionScorer:
         """Mean residual column norm of x against each dictionary."""
         if x.dim != self.dim:
             raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dim}")
-        xt = x.columns.T
-        out = np.empty(self.size)
-        for positions, dual, operators in self._groups:
-            # One residual-sized buffer, updated in place: a second one of
-            # that size per call made scoring several times slower.
-            if dual:
-                residual_t = xt @ operators
-            else:
-                residual_t = (xt @ operators) @ operators.transpose(0, 2, 1)
-                np.subtract(xt, residual_t, out=residual_t)
-            np.square(residual_t, out=residual_t)
-            out[positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
-        if not np.isfinite(out).all():
-            raise ValueError("reconstruction distances contain non-finite values")
-        return out
+        return residual_distances(self._groups, self.size, x)
 
 
 def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> ReconstructionCoefficients:

@@ -8,15 +8,19 @@ entry's dictionary; rankings sort s ascending with ties kept in gallery order.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import FormatError, MismatchError
-from .features import FeatureMatrix, GlobalFeature
+from .features import _CHUNK_MAPS, FeatureMatrix, GlobalFeature
 from .metric import global_distances
-from .reconstruction import ReconstructionScorer
+from .reconstruction import residual_distances, residual_operators
+
+Pooled = tuple[GlobalFeature, FeatureMatrix]  # one pooled map: (global, spatial)
 
 
 @dataclass(frozen=True)
@@ -70,44 +74,60 @@ class EvalReport:
 
 
 class GalleryIndex:
-    """Immutable gallery with the entries' global features stacked and one
-    reconstruction scorer built over their dictionaries, so concurrent
-    probes share the factorization work."""
+    """Immutable gallery, built and scored in blocks of _CHUNK_MAPS
+    consecutive entries. It keeps the entry ids and the stacked global
+    features, and per block only the scoring operators of its dictionaries
+    (reconstruction.residual_operators): no pooled dictionary and no factor
+    outlives the block that built it."""
 
-    def __init__(self, entries: dict[str, tuple[GlobalFeature, FeatureMatrix]], alpha: float, beta: float):
-        if not entries:
-            raise ValueError("gallery must be nonempty")
+    def __init__(self, entries: Mapping[str, Pooled] | Iterable[tuple[str, Pooled]], alpha: float, beta: float):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        dim = next(iter(entries.values()))[0].dim
-        for entry_id, (global_feature, spatial) in entries.items():
-            if global_feature.dim != dim or spatial.dim != dim:
-                raise MismatchError(f"entry {entry_id}: feature dim differs from gallery dim {dim}")
-        self.entry_ids = tuple(entries)
+        pairs = iter(entries.items() if isinstance(entries, Mapping) else entries)
+        ids: dict[str, None] = {}
+        globals_ = []
+        self._blocks: list[tuple[int, list]] = []  # (entry count, operator groups) per block
+        while block := list(itertools.islice(pairs, _CHUNK_MAPS)):
+            if not ids:
+                dim = block[0][1][0].dim
+            for entry_id, (global_feature, spatial) in block:
+                if global_feature.dim != dim or spatial.dim != dim:
+                    raise MismatchError(f"entry {entry_id}: feature dim differs from gallery dim {dim}")
+                if entry_id in ids:
+                    raise MismatchError(f"duplicate gallery entry id {entry_id!r}")
+                ids[entry_id] = None
+                globals_.append(global_feature.values)
+            groups, _ = residual_operators([spatial for _, (_, spatial) in block], beta)
+            self._blocks.append((len(block), groups))
+            # Release this block's dictionaries before the next one is pooled.
+            del block, spatial
+        if not ids:
+            raise ValueError("gallery must be nonempty")
+        self.entry_ids = tuple(ids)
         self.alpha = float(alpha)
         self.dim = dim
-        self._globals = np.stack([g.values for g, _ in entries.values()])
-        self._scorer = ReconstructionScorer([m for _, m in entries.values()], beta)
+        self._globals = np.stack(globals_)
 
 
 def build_gallery(
-    entries: dict[str, tuple[GlobalFeature, FeatureMatrix]], alpha: float, beta: float
+    entries: Mapping[str, Pooled] | Iterable[tuple[str, Pooled]], alpha: float, beta: float
 ) -> GalleryIndex:
-    """A gallery over {entry id: (global, spatial)}, in the mapping's order."""
+    """A gallery over {entry id: (global, spatial)}, or over (entry id,
+    (global, spatial)) pairs, in their order. Pairs are consumed one block
+    at a time, so a generator's pooled maps need not all exist at once."""
     return GalleryIndex(entries, alpha, beta)
 
 
-def match_probe(
-    probe: tuple[GlobalFeature, FeatureMatrix], gallery: GalleryIndex, probe_id: str = ""
-) -> RetrievalRanking:
-    """Score one probe against every gallery entry and rank ascending."""
+def match_probe(probe: Pooled, gallery: GalleryIndex, probe_id: str = "") -> RetrievalRanking:
+    """Score one probe against every gallery entry, block by block, and rank
+    ascending."""
     probe_global, probe_spatial = probe
     if probe_global.dim != gallery.dim or probe_spatial.dim != gallery.dim:
         raise MismatchError(
             f"probe dims ({probe_global.dim}, {probe_spatial.dim}) != gallery dim {gallery.dim}"
         )
     d = global_distances(probe_global.values, gallery._globals)
-    r = gallery._scorer.distances(probe_spatial)
+    r = np.concatenate([residual_distances(groups, size, probe_spatial) for size, groups in gallery._blocks])
     fused = gallery.alpha * d + (1.0 - gallery.alpha) * r
     order = np.argsort(fused, kind="stable")
     ids = tuple(map(gallery.entry_ids.__getitem__, order.tolist()))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,53 @@ class TestMatch:
         assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out8), "--workers", "8"]) == 0
         assert (out1 / "rankings.csv").read_bytes() == (out8 / "rankings.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out8 / "summary.json").read_bytes()
+
+
+class TestMatchBlocks:
+    """`sfr match` builds and scores its gallery in blocks of 32 entries."""
+
+    def match(self, tmp_path, gallery, probes):
+        out = tmp_path / "out"
+        return main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out)]), out
+
+    def test_dim_mismatch_in_a_later_block_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(70)
+        gallery = make_set(tmp_path, rng, "gal", 40, 1)
+        write_map(tmp_path / "gal" / "gal_35_0.sfrf", rng, c=4)
+        rc, out = self.match(tmp_path, gallery, make_set(tmp_path, rng, "prb", 3, 1))
+        assert rc == 3
+        assert "entry gal35_0" in capsys.readouterr().err
+        assert not (out / "rankings.csv").exists()
+
+    def test_damaged_map_in_a_later_block_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        gallery = make_set(tmp_path, rng, "gal", 40, 1)
+        damaged = tmp_path / "gal" / "gal_36_0.sfrf"
+        damaged.write_bytes(damaged.read_bytes()[:-4])
+        rc, out = self.match(tmp_path, gallery, make_set(tmp_path, rng, "prb", 3, 1))
+        assert rc == 2
+        assert "gal_36_0.sfrf" in capsys.readouterr().err
+        assert not (out / "rankings.csv").exists()
+
+    def test_peak_memory_grows_by_the_scoring_operators(self, tmp_path):
+        # d = 32 below the 122 pyramid columns of an 8 x 6 map: every entry
+        # is kept as its 32 x 32 dual operator. Four times the gallery may
+        # add those operators, and no more than one block of dictionaries.
+        d, block = 32, 32
+        rng = np.random.default_rng(72)
+        probes = make_set(tmp_path, rng, "prb", 4, 1, c=d, h=6, w=5)
+        peaks = []
+        for n in (64, 256):
+            gallery = make_set(tmp_path, rng, f"gal{n}", n, 1, c=d, h=8, w=6)
+            tracemalloc.start()
+            try:
+                assert self.match(tmp_path, gallery, probes)[0] == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added_operators = (256 - 64) * d * d * 8
+        one_block = block * d * 122 * 8
+        assert peaks[1] - peaks[0] < 1.5 * added_operators + one_block, peaks
 
 
 class TestEval:

@@ -1,6 +1,7 @@
 """Gallery matching, score fusion, and CMC/mAP evaluation."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from sfr.errors import FormatError, MismatchError
 from sfr.features import FeatureMatrix, GlobalFeature
 from sfr.metric import global_distances
-from sfr.reconstruction import sfr_distance
+from sfr.reconstruction import ReconstructionScorer, sfr_distance
 from sfr.retrieval import (
     RetrievalRanking,
     build_gallery,
@@ -68,6 +69,68 @@ class TestBuildGallery:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_gallery({}, 0.5, BETA)
+
+
+# Gallery blocks hold 32 entries. Three dictionary shapes interleave in
+# gallery order against d = 6: M = 4 (primal), 9 and 12 (dual).
+BLOCK_COUNTS = (4, 9, 12)
+RAW_AT = (32, 40)  # raw-scale dictionaries, past the first block
+
+
+def block_entries(rng, n):
+    """n gallery entries whose shapes interleave; at RAW_AT a rank-2 M = 9
+    dictionary at scale 1e3, too ill-conditioned for the dual form."""
+    entries = {}
+    for i in range(n):
+        if i in RAW_AT:
+            spatial = FeatureMatrix(1e3 * rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9)))
+        else:
+            spatial = FeatureMatrix(rng.standard_normal((6, BLOCK_COUNTS[i % 3])))
+        entries[f"e{i}"] = (GlobalFeature(rng.standard_normal(6)), spatial)
+    return entries
+
+
+class TestGalleryBlocks:
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    def test_each_r_has_the_bits_of_the_entry_scored_alone(self, n):
+        rng = np.random.default_rng(60 + n)
+        entries = block_entries(rng, n)
+        probe = (GlobalFeature(rng.standard_normal(6)), FeatureMatrix(rng.standard_normal((6, 5))))
+        ranking = match_probe(probe, build_gallery(entries, 0.7, BETA), "p")
+        assert sorted(ranking.entry_ids) == sorted(entries)
+        got = dict(zip(ranking.entry_ids, ranking.sfr_dist.tolist()))
+        alone = [ReconstructionScorer([m], BETA).distances(probe[1])[0] for _, m in entries.values()]
+        np.testing.assert_array_equal([got[entry_id] for entry_id in entries], alone)
+        for i in RAW_AT:
+            if i < n:
+                (_, dual, _), = ReconstructionScorer([entries[f"e{i}"][1]], BETA)._groups
+                assert dual is False
+
+    def test_dim_mismatch_in_a_later_block(self):
+        rng = np.random.default_rng(66)
+        entries = block_entries(rng, 40)
+        entries["e35"] = random_pooled(rng, dim=5)
+        with pytest.raises(MismatchError, match="entry e35"):
+            build_gallery(entries, 0.7, BETA)
+
+    def test_duplicate_id_from_an_iterable(self):
+        pairs = list(block_entries(np.random.default_rng(67), 40).items())
+        pairs[33] = ("e0", pairs[33][1])
+        with pytest.raises(MismatchError, match="duplicate gallery entry id 'e0'"):
+            build_gallery(iter(pairs), 0.7, BETA)
+
+    def test_gallery_keeps_no_dictionary_it_was_given(self):
+        rng = np.random.default_rng(68)
+        refs = []
+
+        def pairs():
+            for entry_id, (global_feature, spatial) in block_entries(rng, 40).items():
+                refs.append(weakref.ref(spatial))
+                yield entry_id, (global_feature, spatial)
+
+        gallery = build_gallery(pairs(), 0.7, BETA)
+        assert gallery.entry_ids == tuple(f"e{i}" for i in range(40))
+        assert [ref for ref in refs if ref() is not None] == []
 
 
 class TestMatchProbe:

@@ -36,6 +36,14 @@ Each command gets a directory holding its output files, `stdout.txt`,
   subject.
   The benchmark's match workloads never take that branch: their dictionaries
   are either primal by shape (d > M) or of full row rank (H*W >= d).
+- `mixed-blocks/`: 70 gallery maps, so that `match` builds and scores its
+  gallery in two full 32-entry blocks and a partial one, with three map
+  shapes interleaved in manifest order: 32-channel 5 x 5 (M = 54), 8 x 6
+  (M = 122) and 3 x 3 (M = 14) grids drawn from Gamma(2, 0.5) x 100, and
+  `match` on them with and without `--no-normalize`. Every block mixes
+  shapes, and raw, all but one of the 5 x 5 dictionaries leave the dual form
+  for the primal one, in every block, not only the first. Its seven probes
+  are noisy 2 x 3 crops of the first gallery map of each subject.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ MATCH_WORKLOADS = ("match-large-dict", "match-small-dict")
 SEEDS = (1, 2)
 POOLED_MAPS = 3
 FALLBACK_SUBJECTS, FALLBACK_PER_SUBJECT, FALLBACK_SEED = 3, 2, 13
+# 70 entries make two full 32-entry gallery blocks and a partial one.
+MIXED_GALLERY, MIXED_SUBJECTS, MIXED_SEED = 70, 7, 17
+MIXED_SHAPES = ((5, 5), (8, 6), (3, 3))  # M = 54, 122, 14 against d = 32
 
 
 def run(out: Path, argv: list[str]) -> None:
@@ -84,7 +95,10 @@ def snapshot_match(root: Path, name: str, seed: int) -> None:
             run(pooled, ["pool", "--input", str(inputs / entry.path), "--out", str(pooled / "pooled.sfrf"), *flags])
 
 
-def snapshot_dual_fallback(root: Path) -> None:
+def snapshot_set(root: Path, gallery: list, probes: list) -> None:
+    """Write a gallery and a probe set, each a list of (entry id, subject id,
+    C x H x W values), under `root/inputs`, and run `match` on them with and
+    without `--no-normalize`."""
     import numpy as np
 
     from sfr.features import SpatialFeatureMap, save_feature_map
@@ -92,24 +106,45 @@ def snapshot_dual_fallback(root: Path) -> None:
 
     inputs = root / "inputs"
     inputs.mkdir(parents=True)
-    rng = np.random.default_rng(FALLBACK_SEED)
-    gallery, probes = [], []
-    for subject in range(FALLBACK_SUBJECTS):
-        maps = rng.gamma(2.0, 0.5, size=(FALLBACK_PER_SUBJECT, 32, 5, 5)) * 100.0
-        for i, values in enumerate(maps):
-            gallery.append(ManifestEntry(f"g{subject}_{i}", f"s{subject}", f"g{subject}_{i}.sfrf"))
-            save_feature_map(SpatialFeatureMap(values.astype(np.float32)), inputs / gallery[-1].path)
-        crop = maps[0][:, 1:4, :4] + rng.normal(0.0, 5.0, size=(32, 3, 4))
-        probes.append(ManifestEntry(f"p{subject}", f"s{subject}", f"p{subject}.sfrf"))
-        save_feature_map(SpatialFeatureMap(np.abs(crop).astype(np.float32)), inputs / probes[-1].path)
-    write_manifest(inputs / "gallery.jsonl", gallery)
-    write_manifest(inputs / "probes.jsonl", probes)
+    for kind, maps in (("gallery", gallery), ("probes", probes)):
+        entries = [ManifestEntry(entry_id, subject, f"{entry_id}.sfrf") for entry_id, subject, _ in maps]
+        for entry, (_, _, values) in zip(entries, maps):
+            save_feature_map(SpatialFeatureMap(values.astype(np.float32)), inputs / entry.path)
+        write_manifest(inputs / f"{kind}.jsonl", entries)
     for variant, flags in (("normalized", []), ("raw", ["--no-normalize"])):
         out = root / variant / "match"
         run(out, [
             "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
             "--out", str(out), "--alpha", "0.7", "--beta", "0.001", *flags,
         ])
+
+
+def snapshot_dual_fallback(root: Path) -> None:
+    import numpy as np
+
+    rng = np.random.default_rng(FALLBACK_SEED)
+    gallery, probes = [], []
+    for subject in range(FALLBACK_SUBJECTS):
+        maps = rng.gamma(2.0, 0.5, size=(FALLBACK_PER_SUBJECT, 32, 5, 5)) * 100.0
+        gallery += [(f"g{subject}_{i}", f"s{subject}", values) for i, values in enumerate(maps)]
+        crop = maps[0][:, 1:4, :4] + rng.normal(0.0, 5.0, size=(32, 3, 4))
+        probes.append((f"p{subject}", f"s{subject}", np.abs(crop)))
+    snapshot_set(root, gallery, probes)
+
+
+def snapshot_mixed_blocks(root: Path) -> None:
+    import numpy as np
+
+    rng = np.random.default_rng(MIXED_SEED)
+    gallery, probes = [], []
+    for i in range(MIXED_GALLERY):
+        subject = i % MIXED_SUBJECTS
+        values = rng.gamma(2.0, 0.5, size=(32, *MIXED_SHAPES[i % len(MIXED_SHAPES)])) * 100.0
+        gallery.append((f"g{i}", f"s{subject}", values))
+        if i < MIXED_SUBJECTS:
+            crop = values[:, :2, :3] + rng.normal(0.0, 5.0, size=(32, 2, 3))
+            probes.append((f"p{subject}", f"s{subject}", np.abs(crop)))
+    snapshot_set(root, gallery, probes)
 
 
 def main(argv: list[str]) -> int:
@@ -136,6 +171,7 @@ def main(argv: list[str]) -> int:
         for seed in SEEDS:
             snapshot_match(out / f"{name}-seed{seed}", name, seed)
     snapshot_dual_fallback(out / "dual-fallback")
+    snapshot_mixed_blocks(out / "mixed-blocks")
     return 0
 
 
