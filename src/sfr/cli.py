@@ -27,10 +27,11 @@ import numpy as np
 
 from .encoder import encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import _CHUNK_MAPS, PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
+from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
+    GALLERY_BLOCK,
     GalleryIndex,
     Pooled,
     RetrievalRanking,
@@ -162,13 +163,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _load_pooled(manifest, manifest_path, cfg: RunConfig) -> Iterator[tuple[str, Pooled]]:
     """A manifest's (entry id, (global, spatial)) pairs, in manifest order:
     each map's global average and its pyramid-pooled columns, normalized when
-    cfg says so. Maps are loaded and pooled in blocks of _CHUNK_MAPS
+    cfg says so. Maps are loaded and pooled in blocks of GALLERY_BLOCK
     consecutive entries, and no block is held here once its last pair has
     been taken. A relative map path is relative to the manifest; an absolute
     one replaces the base."""
     base = Path(manifest_path).resolve().parent
-    for start in range(0, len(manifest), _CHUNK_MAPS):
-        block = manifest[start:start + _CHUNK_MAPS]
+    for start in range(0, len(manifest), GALLERY_BLOCK):
+        block = manifest[start:start + GALLERY_BLOCK]
         # No local holds the maps or the pooled list: a local would keep this
         # block alive while the next one is loaded.
         yield from zip(

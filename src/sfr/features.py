@@ -209,24 +209,18 @@ def pool_stack(
     return pooled, scales
 
 
-# Maps of one shape are pooled in chunks of at most this many, so that a long
-# manifest is never stacked whole.
-_CHUNK_MAPS = 32
-
-
 def pool_feature_maps(
     fmaps: Sequence[SpatialFeatureMap], spec: PyramidSpec = DEFAULT_PYRAMID, normalize: bool = True
 ) -> list[tuple[GlobalFeature, FeatureMatrix]]:
     """Each map's global average and pyramid columns, normalized when asked,
-    in the order given. Maps of one shape go through pool_stack in chunks of
-    at most _CHUNK_MAPS maps."""
+    in the order given, with one pool_stack per map shape. Every map given is
+    stacked, so the caller bounds their number: `sfr match` hands over one
+    gallery block at a time."""
     pooled: list = [None] * len(fmaps)
     for positions in group_by_shape([fmap.values for fmap in fmaps]).values():
-        for start in range(0, len(positions), _CHUNK_MAPS):
-            chunk = positions[start:start + _CHUNK_MAPS]
-            features, _ = pool_stack(np.stack([fmaps[i].values for i in chunk]), spec, normalize)
-            for i, feature in zip(chunk, features):
-                pooled[i] = feature
+        features, _ = pool_stack(np.stack([fmaps[i].values for i in positions]), spec, normalize)
+        for i, feature in zip(positions, features):
+            pooled[i] = feature
     return pooled
 
 

@@ -47,7 +47,7 @@ from .features import (
     pool_columns_adjoint,
     pool_stack,
 )
-from .reconstruction import ReconstructionCoefficients, ReconstructionScorer, sfr_gradients
+from .reconstruction import ReconstructionScorer, sfr_gradients
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ class StepPlan:
     with the batch's column scales through the update, and the loss report
     over all mined triplets."""
 
-    active: tuple[tuple[MinedTriplet, ReconstructionCoefficients, ReconstructionCoefficients], ...]
+    active: tuple[tuple[MinedTriplet, np.ndarray, np.ndarray], ...]
     report: LossReport
 
 
@@ -320,8 +320,8 @@ def frozen_step_objective(
     total = 0.0
     for t, wp, wn in plan.active:
         a, p, n = t.anchor_idx, t.positive_idx, t.negative_idx
-        r_pos = units[a] - units[p] @ wp.matrix
-        r_neg = units[a] - units[n] @ wn.matrix
+        r_pos = units[a] - units[p] @ wp
+        r_neg = units[a] - units[n] @ wn
         total += margin
         total += float(np.linalg.norm(globals_[a] - globals_[p])) + float(np.sum(r_pos * r_pos))
         total -= float(np.linalg.norm(globals_[a] - globals_[n])) + float(np.sum(r_neg * r_neg))

@@ -170,7 +170,7 @@ def _ridge_case(rng: np.random.Generator, i: int, inject_fault: bool) -> Case:
     x = random_feature_matrix(rng, int(d), int(n))
     y = random_feature_matrix(rng, int(d), int(m))
     beta = (1e-3, 1e-1, 1.0)[i % 3]
-    fast = solve_coefficients(x, y, beta).matrix
+    fast = solve_coefficients(x, y, beta)
     if inject_fault:
         fast = fast + 1e-6
     slow = ridge_oracle(x, y, beta)
@@ -191,11 +191,11 @@ def _gradient_case(rng: np.random.Generator) -> Case:
     d, n, m = (int(rng.integers(lo, hi)) for lo, hi in ((2, 7), (1, 6), (1, 6)))
     xa = random_feature_matrix(rng, d, n)
     xo = random_feature_matrix(rng, d, m)
-    coeff = solve_coefficients(xa, xo, 0.01)
-    grad_a, grad_o = sfr_gradients(xa, xo, coeff)
+    w = solve_coefficients(xa, xo, 0.01)
+    grad_a, grad_o = sfr_gradients(xa, xo, w)
     rel = max(
-        relative_error(grad_a, finite_difference(lambda a: _fro2(a, xo.columns, coeff.matrix), xa.columns, 1e-5)),
-        relative_error(grad_o, finite_difference(lambda o: _fro2(xa.columns, o, coeff.matrix), xo.columns, 1e-5)),
+        relative_error(grad_a, finite_difference(lambda a: _fro2(a, xo.columns, w), xa.columns, 1e-5)),
+        relative_error(grad_o, finite_difference(lambda o: _fro2(xa.columns, o, w), xo.columns, 1e-5)),
     )
     return rel, rel, rel <= 1e-4
 

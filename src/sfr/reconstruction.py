@@ -17,28 +17,12 @@ instead, with W held fixed by the alternating scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FactorizationError, MismatchError
 from .features import FeatureMatrix, group_by_shape
-
-
-@dataclass(frozen=True)
-class ReconstructionCoefficients:
-    """M x N coefficient matrix expressing X's columns in a dictionary's columns."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError(f"coefficients must be a matrix, got shape {np.shape(self.matrix)}")
-        if not np.isfinite(m).all():
-            raise ValueError("coefficients contain non-finite values")
-        object.__setattr__(self, "matrix", m)
 
 
 def _cholesky(grams: np.ndarray, beta: float, min_pivot_ratio: float) -> tuple[np.ndarray, np.ndarray]:
@@ -130,12 +114,13 @@ class DictionaryFactor:
         self._inverse = inverse_factor
         self.dictionary = dictionary
 
-    def solve(self, x: FeatureMatrix) -> ReconstructionCoefficients:
-        """W = L^{-T} L^{-1} Y^T X."""
+    def solve(self, x: FeatureMatrix) -> np.ndarray:
+        """W = L^{-T} L^{-1} Y^T X, the M x N coefficients of x's columns in
+        the dictionary's columns."""
         if x.dim != self.dictionary.dim:
             raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dictionary.dim}")
         inverse = self._inverse
-        return ReconstructionCoefficients(inverse.T @ (inverse @ (self.dictionary.columns.T @ x.columns)))
+        return inverse.T @ (inverse @ (self.dictionary.columns.T @ x.columns))
 
 
 def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +236,7 @@ class ReconstructionScorer:
         self._groups, inverses = residual_operators(dictionaries, beta)
         self._factors = {i: DictionaryFactor(dictionaries[i], beta, inverse) for i, inverse in inverses.items()}
 
-    def solve(self, j: int, x: FeatureMatrix) -> ReconstructionCoefficients:
+    def solve(self, j: int, x: FeatureMatrix) -> np.ndarray:
         """Ridge coefficients of x against dictionary j, the bits of
         solve_coefficients(x, dictionary j, beta)."""
         if j not in self._factors:
@@ -265,8 +250,9 @@ class ReconstructionScorer:
         return residual_distances(self._groups, self.size, x)
 
 
-def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> ReconstructionCoefficients:
-    """Closed-form ridge solve of (Y^T Y + beta I) W = Y^T X.
+def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> np.ndarray:
+    """Closed-form ridge solve of (Y^T Y + beta I) W = Y^T X, returning the
+    M x N float64 array W.
 
     beta = 0 is accepted only when the Gram matrix is numerically positive
     definite; a failed factorization raises with a condition diagnostic.
@@ -277,19 +263,16 @@ def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> Recon
 def sfr_distance(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> float:
     """Reconstruction distance: mean l2 norm of the columns of X - Y W, one
     pair at a time; the per-pair reference for ReconstructionScorer."""
-    coeff = solve_coefficients(x, y, beta)
-    residual = x.columns - y.columns @ coeff.matrix
+    residual = x.columns - y.columns @ solve_coefficients(x, y, beta)
     return float(np.linalg.norm(residual, axis=0).mean())
 
 
-def sfr_gradients(
-    x_anchor: FeatureMatrix, x_other: FeatureMatrix, coefficients: ReconstructionCoefficients
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of ||Xa - Xo W||_F^2 with W held fixed.
+def sfr_gradients(x_anchor: FeatureMatrix, x_other: FeatureMatrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradients of ||Xa - Xo W||_F^2 with the M x N coefficients W
+    held fixed.
 
     Returns (d/dXa, d/dXo) = (2 R, -2 R W^T) where R = Xa - Xo W.
     """
-    w = coefficients.matrix
     if x_anchor.dim != x_other.dim:
         raise MismatchError(f"feature dims differ: {x_anchor.dim} vs {x_other.dim}")
     if w.shape != (x_other.count, x_anchor.count):

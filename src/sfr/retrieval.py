@@ -11,16 +11,21 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import FormatError, MismatchError
-from .features import _CHUNK_MAPS, FeatureMatrix, GlobalFeature
+from .features import FeatureMatrix, GlobalFeature
 from .metric import global_distances
 from .reconstruction import residual_distances, residual_operators
 
 Pooled = tuple[GlobalFeature, FeatureMatrix]  # one pooled map: (global, spatial)
+
+# A gallery is built and scored in blocks of this many consecutive entries,
+# and the commands load and pool each manifest in blocks of the same size, so
+# that a long manifest is never stacked whole.
+GALLERY_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -74,20 +79,20 @@ class EvalReport:
 
 
 class GalleryIndex:
-    """Immutable gallery, built and scored in blocks of _CHUNK_MAPS
+    """Immutable gallery, built and scored in blocks of GALLERY_BLOCK
     consecutive entries. It keeps the entry ids and the stacked global
     features, and per block only the scoring operators of its dictionaries
     (reconstruction.residual_operators): no pooled dictionary and no factor
     outlives the block that built it."""
 
-    def __init__(self, entries: Mapping[str, Pooled] | Iterable[tuple[str, Pooled]], alpha: float, beta: float):
+    def __init__(self, entries: Iterable[tuple[str, Pooled]], alpha: float, beta: float):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        pairs = iter(entries.items() if isinstance(entries, Mapping) else entries)
+        pairs = iter(entries)
         ids: dict[str, None] = {}
         globals_ = []
         self._blocks: list[tuple[int, list]] = []  # (entry count, operator groups) per block
-        while block := list(itertools.islice(pairs, _CHUNK_MAPS)):
+        while block := list(itertools.islice(pairs, GALLERY_BLOCK)):
             if not ids:
                 dim = block[0][1][0].dim
             for entry_id, (global_feature, spatial) in block:
@@ -109,12 +114,10 @@ class GalleryIndex:
         self._globals = np.stack(globals_)
 
 
-def build_gallery(
-    entries: Mapping[str, Pooled] | Iterable[tuple[str, Pooled]], alpha: float, beta: float
-) -> GalleryIndex:
-    """A gallery over {entry id: (global, spatial)}, or over (entry id,
-    (global, spatial)) pairs, in their order. Pairs are consumed one block
-    at a time, so a generator's pooled maps need not all exist at once."""
+def build_gallery(entries: Iterable[tuple[str, Pooled]], alpha: float, beta: float) -> GalleryIndex:
+    """A gallery over (entry id, (global, spatial)) pairs, in their order.
+    Pairs are consumed one block at a time, so a generator's pooled maps
+    need not all exist at once."""
     return GalleryIndex(entries, alpha, beta)
 
 
@@ -150,7 +153,8 @@ def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str])
 def evaluate(rankings, truth: dict[str, str], subject_of: dict[str, str]) -> EvalReport:
     """CMC curve and mean average precision over subject-level matches, from
     each probe's true subject (truth) and each gallery entry's subject
-    (subject_of)."""
+    (subject_of). Every probe in truth must have a ranking, so that a cut
+    rankings file cannot pass for a whole one."""
     rankings = list(rankings)
     if not rankings:
         raise ValueError("no rankings to evaluate")
@@ -170,6 +174,10 @@ def evaluate(rankings, truth: dict[str, str], subject_of: dict[str, str]) -> Eva
         aps.append(
             float(np.mean([(k + 1) / pos for k, pos in enumerate(match_positions)]))
         )
+    ranked = {ranking.probe_id for ranking in rankings}
+    unranked = [probe_id for probe_id in truth if probe_id not in ranked]
+    if unranked:
+        raise MismatchError(f"{len(unranked)} truth probes have no ranking (first: {unranked[0]!r})")
     cmc = np.cumsum(hits) / len(aps)
     return EvalReport(cmc, float(np.mean(aps)), tuple(aps))
 

@@ -64,7 +64,7 @@ def test_criterion_1_ridge_correctness():
         d, m, n = (int(v) for v in rng.integers(1, 17, size=3))
         x, y = fm(rng, d, n), fm(rng, d, m)
         beta = betas[i % 3]
-        fast = solve_coefficients(x, y, beta).matrix
+        fast = solve_coefficients(x, y, beta)
         slow = ridge_oracle(x, y, beta)
         assert np.abs(fast - slow).max() <= 1e-8
         normal_eq = y.columns.T @ (x.columns - y.columns @ fast) - beta * fast
@@ -97,11 +97,11 @@ def test_criterion_3_gradient_checks():
         grad_a, grad_o = sfr_gradients(xa, xo, coeff)
 
         def f_a(cols):
-            r = cols - xo.columns @ coeff.matrix
+            r = cols - xo.columns @ coeff
             return float(np.sum(r * r))
 
         def f_o(cols):
-            r = xa.columns - cols @ coeff.matrix
+            r = xa.columns - cols @ coeff
             return float(np.sum(r * r))
 
         rel = max(
@@ -182,7 +182,7 @@ def test_criterion_6_fusion_endpoints():
         for _ in range(20)
     ]
     for alpha, key in ((1.0, "global"), (0.0, "sfr")):
-        gallery = build_gallery(entries, alpha, 0.001)
+        gallery = build_gallery(entries.items(), alpha, 0.001)
         for probe in probes:
             ranking = match_probe(probe, gallery, "p")
             if key == "global":

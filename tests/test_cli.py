@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfr import cli
 from sfr.cli import RunConfig, main
-from sfr.features import SpatialFeatureMap, load_pooled, save_feature_map
+from sfr.features import SpatialFeatureMap, load_pooled, pool_feature_maps, save_feature_map
 from sfr.retrieval import ManifestEntry, write_manifest
 
 
@@ -179,6 +180,23 @@ class TestMatchBlocks:
         assert "gal_36_0.sfrf" in capsys.readouterr().err
         assert not (out / "rankings.csv").exists()
 
+    def test_pooling_gets_at_most_one_block_of_maps_per_call(self, tmp_path, monkeypatch):
+        # pool_feature_maps stacks every map it is given, so the loader hands
+        # it one block at a time: the 70 gallery maps in two full blocks and
+        # a partial one, then the 40 probes in one full block and a partial one.
+        rng = np.random.default_rng(73)
+        gallery = make_set(tmp_path, rng, "gal", 70, 1)
+        probes = make_set(tmp_path, rng, "prb", 40, 1)
+        sizes = []
+
+        def counted(fmaps, *args):
+            sizes.append(len(fmaps))
+            return pool_feature_maps(fmaps, *args)
+
+        monkeypatch.setattr(cli, "pool_feature_maps", counted)
+        assert self.match(tmp_path, gallery, probes)[0] == 0
+        assert sizes == [32, 32, 6, 32, 8]
+
     def test_peak_memory_grows_by_the_scoring_operators(self, tmp_path):
         # d = 32 below the 122 pyramid columns of an 8 x 6 map: every entry
         # is kept as its 32 x 32 dual operator. Four times the gallery may
@@ -314,6 +332,22 @@ class TestEval:
         rankings.write_text("\n".join(rows) + "\n")
         out = tmp_path / "eval"
         assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gal), "--out", str(out)]) == 0
+
+    def test_rankings_cut_at_a_probe_boundary_exit_3(self, tmp_path, capsys):
+        # A match's rankings cut after their first probes would be scored on
+        # those probes alone, and read like a whole run's.
+        rng = np.random.default_rng(49)
+        gallery = make_set(tmp_path, rng, "gal", 4, 2)
+        probes = make_set(tmp_path, rng, "probe", 4, 2)
+        match_out, eval_out = tmp_path / "match", tmp_path / "eval"
+        assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(match_out)]) == 0
+        rankings = match_out / "rankings.csv"
+        lines = rankings.read_text().splitlines(keepends=True)
+        rankings.write_text("".join(lines[: 1 + 3 * 8]))  # the header and 3 of the 8 probes' 8 rows
+        assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gallery), "--out", str(eval_out)]) == 3
+        assert "5 truth probes have no ranking (first: 'probe1_1')" in capsys.readouterr().err
+        assert not (eval_out / "cmc.csv").exists()
+        assert not (eval_out / "summary.json").exists()
 
     @pytest.mark.parametrize("flags", [[], ["--no-normalize"]])
     def test_match_rankings_evaluate_to_the_match_summary(self, tmp_path, flags):

@@ -253,15 +253,15 @@ class TestStackedPooling:
 
 
 class TestPoolFeatureMaps:
-    # Maps grouped by shape and pooled in chunks come back in the order
-    # given, each with the bits of pooling and normalizing it alone.
+    # Maps grouped by shape and pooled one stack per shape come back in the
+    # order given, each with the bits of pooling and normalizing it alone.
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("spec", [DEFAULT_PYRAMID, PyramidSpec((1, 3))])
     def test_each_map_has_the_bits_of_pooling_it_alone(self, spec, normalize):
         rng = np.random.default_rng(31)
         shapes = [(5, 4, 3), (5, 6, 6), (5, 4, 3), (5, 2, 7), (5, 6, 6), (5, 1, 1)]
         maps = []
-        for i in range(75):  # more maps of one shape than a chunk holds
+        for i in range(75):
             values = rng.gamma(2.0, 0.5, size=shapes[i % len(shapes)]).astype(np.float32)
             if i % 7 == 0:
                 values[:, :2, :2] = 0.0  # zero columns

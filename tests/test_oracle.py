@@ -35,7 +35,7 @@ class TestRidgeOracle:
         rng = np.random.default_rng(42)
         x = fm(rng.standard_normal((8, 10)))
         y = fm(rng.standard_normal((8, 6)))
-        fast = solve_coefficients(x, y, 0.01).matrix
+        fast = solve_coefficients(x, y, 0.01)
         np.testing.assert_allclose(ridge_oracle(x, y, 0.01), fast, atol=1e-8)
 
     def test_dominant_regularizer_limit(self):

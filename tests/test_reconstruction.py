@@ -6,13 +6,7 @@ import pytest
 from sfr.errors import FactorizationError, MismatchError
 from sfr.features import FeatureMatrix, SpatialFeatureMap, l2_normalize_columns, pool_feature_maps
 from sfr.oracle import finite_difference, relative_error, ridge_oracle
-from sfr.reconstruction import (
-    ReconstructionCoefficients,
-    ReconstructionScorer,
-    sfr_distance,
-    sfr_gradients,
-    solve_coefficients,
-)
+from sfr.reconstruction import ReconstructionScorer, sfr_distance, sfr_gradients, solve_coefficients
 
 
 def fm(a):
@@ -31,17 +25,17 @@ class TestSolveCoefficients:
         x = fm([[1.0], [0.0]])
         y = fm([[1.0], [0.0]])
         w = solve_coefficients(x, y, 1.0)
-        np.testing.assert_allclose(w.matrix, [[0.5]], atol=1e-15)
+        np.testing.assert_allclose(w, [[0.5]], atol=1e-15)
 
     def test_scalar_case(self):
         w = solve_coefficients(fm([[2.0]]), fm([[1.0]]), 0.001)
-        np.testing.assert_allclose(w.matrix, [[1.998002]], atol=1e-6)
+        np.testing.assert_allclose(w, [[1.998002]], atol=1e-6)
 
     def test_self_representation_beta_zero(self):
         rng = np.random.default_rng(42)
         x = fm(rng.standard_normal((5, 5)) + 3 * np.eye(5))
         w = solve_coefficients(x, x, 0.0)
-        np.testing.assert_allclose(w.matrix, np.eye(5), atol=1e-8)
+        np.testing.assert_allclose(w, np.eye(5), atol=1e-8)
 
     def test_normal_equation_identity(self):
         rng = np.random.default_rng(42)
@@ -49,8 +43,8 @@ class TestSolveCoefficients:
             for _ in range(20):
                 x, y = random_instance(rng)
                 w = solve_coefficients(x, y, beta)
-                lhs = y.columns.T @ (x.columns - y.columns @ w.matrix)
-                np.testing.assert_allclose(lhs, beta * w.matrix, atol=1e-8)
+                lhs = y.columns.T @ (x.columns - y.columns @ w)
+                np.testing.assert_allclose(lhs, beta * w, atol=1e-8)
 
     def test_dimension_mismatch(self):
         with pytest.raises(MismatchError):
@@ -68,8 +62,8 @@ class TestSolveCoefficients:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         x, y = random_instance(rng)
-        a = solve_coefficients(x, y, 0.01).matrix
-        b = solve_coefficients(x, y, 0.01).matrix
+        a = solve_coefficients(x, y, 0.01)
+        b = solve_coefficients(x, y, 0.01)
         np.testing.assert_array_equal(a, b)
 
 
@@ -106,7 +100,7 @@ class TestSfrDistance:
         for _ in range(10):
             x, y = random_instance(rng)
             r = sfr_distance(x, y, 0.01)
-            residual = x.columns - y.columns @ solve_coefficients(x, y, 0.01).matrix
+            residual = x.columns - y.columns @ solve_coefficients(x, y, 0.01)
             recomputed = float(np.linalg.norm(residual, axis=0).mean())
             assert abs(r - recomputed) <= 1e-10
             assert r >= 0.0
@@ -123,7 +117,7 @@ class TestSfrDistance:
             x, y = random_instance(rng)
             betas = sorted(rng.uniform(1e-4, 10.0, size=3))
             norms = [
-                np.linalg.norm(x.columns - y.columns @ solve_coefficients(x, y, b).matrix)
+                np.linalg.norm(x.columns - y.columns @ solve_coefficients(x, y, b))
                 for b in betas
             ]
             assert norms[0] <= norms[1] + 1e-10
@@ -134,14 +128,14 @@ class TestGradients:
     def test_zero_residual_gives_zero_gradients(self):
         rng = np.random.default_rng(7)
         xo = fm(rng.standard_normal((4, 3)))
-        w = ReconstructionCoefficients(rng.standard_normal((3, 2)))
-        xa = fm(xo.columns @ w.matrix)
+        w = rng.standard_normal((3, 2))
+        xa = fm(xo.columns @ w)
         grad_a, grad_o = sfr_gradients(xa, xo, w)
         np.testing.assert_allclose(grad_a, 0.0, atol=1e-14)
         np.testing.assert_allclose(grad_o, 0.0, atol=1e-14)
 
     def test_scalar_case(self):
-        w = ReconstructionCoefficients(np.array([[1.998002]]))
+        w = np.array([[1.998002]])
         grad_a, grad_o = sfr_gradients(fm([[2.0]]), fm([[1.0]]), w)
         np.testing.assert_allclose(grad_a, [[0.003996]], atol=1e-6)
         np.testing.assert_allclose(grad_o, [[-0.007984]], atol=1e-6)
@@ -154,19 +148,22 @@ class TestGradients:
         grad_a, grad_o = sfr_gradients(xa, xo, coeff)
 
         def f_a(cols):
-            r = cols - xo.columns @ coeff.matrix
+            r = cols - xo.columns @ coeff
             return float(np.sum(r * r))
 
         def f_o(cols):
-            r = xa.columns - cols @ coeff.matrix
+            r = xa.columns - cols @ coeff
             return float(np.sum(r * r))
 
         assert relative_error(grad_a, finite_difference(f_a, xa.columns, 1e-5)) < 1e-4
         assert relative_error(grad_o, finite_difference(f_o, xo.columns, 1e-5)) < 1e-4
 
-    def test_shape_mismatch(self):
+    # M x N coefficients for an anchor of N = 3 columns and a dictionary of
+    # M = 4: a wrong M, a 1-D array and the transposed matrix are rejected.
+    @pytest.mark.parametrize("shape", [(5, 3), (12,), (3, 4)], ids=["wrong-M", "1-D", "transposed"])
+    def test_shape_mismatch(self, shape):
         rng = np.random.default_rng(8)
-        w = ReconstructionCoefficients(rng.standard_normal((5, 3)))
+        w = rng.standard_normal(shape)
         with pytest.raises(MismatchError):
             sfr_gradients(fm(rng.standard_normal((4, 3))), fm(rng.standard_normal((4, 4))), w)
 
@@ -182,7 +179,7 @@ class TestObjective:
         # an all-zero dictionary explains nothing: W = 0 and the residual is X
         rng = np.random.default_rng(9)
         x, y = fm(rng.standard_normal((5, 3))), fm(np.zeros((5, 4)))
-        w = solve_coefficients(x, y, 0.5).matrix
+        w = solve_coefficients(x, y, 0.5)
         np.testing.assert_array_equal(w, np.zeros((4, 3)))
         assert sfr_distance(x, y, 0.5) == float(np.linalg.norm(x.columns, axis=0).mean())
         got = ridge_objective(x, y, w, 0.5)
@@ -190,14 +187,14 @@ class TestObjective:
 
     def test_scalar_value(self):
         x, y = fm([[2.0]]), fm([[1.0]])
-        w = solve_coefficients(x, y, 0.001).matrix
+        w = solve_coefficients(x, y, 0.001)
         np.testing.assert_allclose(ridge_objective(x, y, w, 0.001), 0.0039960, atol=1e-7)
 
     def test_solved_coefficients_are_optimal(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
             x, y = random_instance(rng, d=6, m=5, n=4)
-            w = solve_coefficients(x, y, 0.05).matrix
+            w = solve_coefficients(x, y, 0.05)
             base = ridge_objective(x, y, w, 0.05)
             for _ in range(100):
                 delta = rng.standard_normal(w.shape)
@@ -281,7 +278,7 @@ class TestReconstructionScorer:
         # j = 2 twice: a dual dictionary is factored on its first solve and
         # that factor is reused.
         for j in (2, 0, 2):
-            np.testing.assert_array_equal(scorer.solve(j, x).matrix, solve_coefficients(x, ys[j], 1e-3).matrix)
+            np.testing.assert_array_equal(scorer.solve(j, x), solve_coefficients(x, ys[j], 1e-3))
 
     def test_wide_dictionary_at_beta_zero_stays_singular(self):
         # d < M makes Y^T Y singular; beta = 0 never takes the dual form
@@ -346,8 +343,8 @@ class TestCholeskyFactors:
                     assert dual_alone is dual
                     np.testing.assert_array_equal(operator, operators_alone[0])
                     assert alone.distances(x)[0] == together[j]
-                    w = scorer.solve(j, x).matrix
-                    np.testing.assert_array_equal(w, alone.solve(0, x).matrix)
+                    w = scorer.solve(j, x)
+                    np.testing.assert_array_equal(w, alone.solve(0, x))
                     np.testing.assert_array_equal(scorer._factors[j]._inverse, alone._factors[0]._inverse)
 
                     yc = y.columns

@@ -35,7 +35,7 @@ def random_entries(rng, n, dim=6):
 
 
 def random_gallery(rng, n, alpha=0.7, dim=6):
-    return build_gallery(random_entries(rng, n, dim), alpha, BETA)
+    return build_gallery(random_entries(rng, n, dim).items(), alpha, BETA)
 
 
 def fake_ranking(probe_id, order):
@@ -46,29 +46,29 @@ def fake_ranking(probe_id, order):
 class TestBuildGallery:
     def test_singleton(self):
         rng = np.random.default_rng(0)
-        g = build_gallery({"a": random_pooled(rng)}, 0.5, BETA)
+        g = build_gallery({"a": random_pooled(rng)}.items(), 0.5, BETA)
         assert g.entry_ids == ("a",)
 
     def test_order_preserved(self):
         rng = np.random.default_rng(2)
         entries = {f"e{i}": random_pooled(rng) for i in range(100)}
-        g = build_gallery(entries, 0.5, BETA)
+        g = build_gallery(entries.items(), 0.5, BETA)
         assert list(g.entry_ids) == [f"e{i}" for i in range(100)]
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(3)
         entries = {"a": random_pooled(rng, dim=4), "b": random_pooled(rng, dim=5)}
         with pytest.raises(MismatchError):
-            build_gallery(entries, 0.5, BETA)
+            build_gallery(entries.items(), 0.5, BETA)
 
     def test_alpha_range(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
-            build_gallery({"a": random_pooled(rng)}, 1.5, BETA)
+            build_gallery({"a": random_pooled(rng)}.items(), 1.5, BETA)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_gallery({}, 0.5, BETA)
+            build_gallery({}.items(), 0.5, BETA)
 
 
 # Gallery blocks hold 32 entries. Three dictionary shapes interleave in
@@ -96,7 +96,7 @@ class TestGalleryBlocks:
         rng = np.random.default_rng(60 + n)
         entries = block_entries(rng, n)
         probe = (GlobalFeature(rng.standard_normal(6)), FeatureMatrix(rng.standard_normal((6, 5))))
-        ranking = match_probe(probe, build_gallery(entries, 0.7, BETA), "p")
+        ranking = match_probe(probe, build_gallery(entries.items(), 0.7, BETA), "p")
         assert sorted(ranking.entry_ids) == sorted(entries)
         got = dict(zip(ranking.entry_ids, ranking.sfr_dist.tolist()))
         alone = [ReconstructionScorer([m], BETA).distances(probe[1])[0] for _, m in entries.values()]
@@ -111,7 +111,7 @@ class TestGalleryBlocks:
         entries = block_entries(rng, 40)
         entries["e35"] = random_pooled(rng, dim=5)
         with pytest.raises(MismatchError, match="entry e35"):
-            build_gallery(entries, 0.7, BETA)
+            build_gallery(entries.items(), 0.7, BETA)
 
     def test_duplicate_id_from_an_iterable(self):
         pairs = list(block_entries(np.random.default_rng(67), 40).items())
@@ -140,7 +140,7 @@ class TestMatchProbe:
     def test_alpha_one_is_global_ordering(self):
         rng = np.random.default_rng(42)
         entries = random_entries(rng, 20)
-        gallery = build_gallery(entries, 1.0, BETA)
+        gallery = build_gallery(entries.items(), 1.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
         d = [global_distances(probe[0].values, g.values[None, :])[0] for g, _ in entries.values()]
@@ -150,7 +150,7 @@ class TestMatchProbe:
     def test_alpha_zero_is_sfr_ordering(self):
         rng = np.random.default_rng(43)
         entries = random_entries(rng, 20)
-        gallery = build_gallery(entries, 0.0, BETA)
+        gallery = build_gallery(entries.items(), 0.0, BETA)
         probe = self.probe_from(rng)
         ranking = match_probe(probe, gallery, "p")
         r = [sfr_distance(probe[1], m, BETA) for _, m in entries.values()]
@@ -160,7 +160,7 @@ class TestMatchProbe:
     def test_self_probe_ranks_first(self):
         rng = np.random.default_rng(44)
         entries = random_entries(rng, 15)
-        gallery = build_gallery(entries, 0.7, BETA)
+        gallery = build_gallery(entries.items(), 0.7, BETA)
         ranking = match_probe(entries["g6"], gallery, "p")
         assert ranking.entry_ids[0] == "g6"
 
@@ -176,7 +176,7 @@ class TestMatchProbe:
     def test_contains_every_entry_once(self):
         rng = np.random.default_rng(46)
         entries = random_entries(rng, 12)
-        ranking = match_probe(self.probe_from(rng), build_gallery(entries, 0.7, BETA), "p")
+        ranking = match_probe(self.probe_from(rng), build_gallery(entries.items(), 0.7, BETA), "p")
         assert sorted(ranking.entry_ids) == sorted(entries)
 
     def test_sorted_ascending(self):
@@ -190,7 +190,7 @@ class TestMatchProbe:
         g = GlobalFeature(rng.standard_normal(4))
         spatial = FeatureMatrix(rng.standard_normal((4, 3)))
         entries = {f"e{i}": (g, spatial) for i in range(5)}
-        gallery = build_gallery(entries, 0.7, BETA)
+        gallery = build_gallery(entries.items(), 0.7, BETA)
         probe = (GlobalFeature(rng.standard_normal(4)), FeatureMatrix(rng.standard_normal((4, 2))))
         ranking = match_probe(probe, gallery, "p")
         assert list(ranking.entry_ids) == [f"e{i}" for i in range(5)]

@@ -83,7 +83,7 @@ def test_permuting_the_gallery_permutes_each_entrys_scores(case, alpha, beta):
     entries, probe, perm = case
 
     def scores(gallery_entries):
-        ranking = match_probe(probe, build_gallery(dict(gallery_entries), alpha, beta))
+        ranking = match_probe(probe, build_gallery(gallery_entries, alpha, beta))
         return {
             e: (d, r, s)
             for e, d, r, s in zip(ranking.entry_ids, ranking.global_dist, ranking.sfr_dist, ranking.fused)
@@ -103,7 +103,7 @@ def test_fusion_endpoints_are_one_distance_alone(case, alpha, beta):
     # s = alpha * d + (1 - alpha) * r is r at alpha = 0 and d at alpha = 1,
     # and the ranking is the stable argsort of that column in gallery order.
     entries, probe = case
-    ranking = match_probe(probe, build_gallery(dict(entries), alpha, beta))
+    ranking = match_probe(probe, build_gallery(entries, alpha, beta))
     column = ranking.global_dist if alpha == 1.0 else ranking.sfr_dist
     assert ranking.fused.tobytes() == column.tobytes()
     position = {entry_id: i for i, (entry_id, _) in enumerate(entries)}
@@ -122,7 +122,7 @@ def test_probe_and_entry_roles_are_not_interchangeable(case, alpha, beta):
     entry = entries[0][1]
 
     def r(query, stored):
-        return float(match_probe(query, build_gallery({"e": stored}, alpha, beta)).sfr_dist[0])
+        return float(match_probe(query, build_gallery([("e", stored)], alpha, beta)).sfr_dist[0])
 
     forward, backward = r(probe, entry), r(entry, probe)
     expected_forward = sfr_distance(probe[1], entry[1], beta)
