@@ -10,4 +10,4 @@ class MismatchError(ValueError):
 
 
 class FactorizationError(ArithmeticError):
-    """The regularized Gram matrix could not be factored (singular system at beta = 0)."""
+    """The regularized Gram matrix could not be factored (not positive definite or numerically singular)."""

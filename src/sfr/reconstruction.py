@@ -1,7 +1,7 @@
 """Ridge reconstruction of one spatial feature set from another.
 
-The coefficients W minimize ||X - Y W||_F^2 + beta ||W||_F^2 and come in
-closed form from the normal equations (Y^T Y + beta I) W = Y^T X. The
+The coefficients W minimize ||X - Y W||_F^2 + beta ||W||_F^2, beta > 0, and
+come in closed form from the normal equations (Y^T Y + beta I) W = Y^T X. The
 regularized Gram matrices of same-shape dictionaries are factored as one
 stack: one Cholesky call, then the inverse factors L^{-1} by forward
 substitution over the whole stack, so that each solve and each scoring
@@ -25,15 +25,13 @@ from .errors import FactorizationError, MismatchError
 from .features import FeatureMatrix, group_by_shape
 
 
-def _cholesky(grams: np.ndarray, beta: float, min_pivot_ratio: float) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky(grams: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors of a stack of regularized Gram matrices, from
-    one np.linalg.cholesky call, and a mask of the slices that pass: positive
-    definite, with the smallest pivot above min_pivot_ratio times the largest
-    ((max/min)^2 bounds the condition number below). A slice that is not
-    positive definite fails the whole call; the stack is then factored one
-    slice at a time to find it (a slice gets the same bits either way), and
-    its factor is left as the identity. A non-finite Gram matrix, as a
-    non-finite beta makes, raises ValueError."""
+    one np.linalg.cholesky call, and a mask of the positive definite slices.
+    A slice that is not positive definite fails the whole call; the stack is
+    then factored one slice at a time to find it (a slice gets the same bits
+    either way), and its factor is left as the identity. A non-finite Gram
+    matrix, as a non-finite beta makes, raises ValueError."""
     if not np.isfinite(grams).all():
         raise ValueError(f"gram matrix contains non-finite values (beta={beta})")
     passed = np.ones(len(grams), dtype=bool)
@@ -47,8 +45,6 @@ def _cholesky(grams: np.ndarray, beta: float, min_pivot_ratio: float) -> tuple[n
             except np.linalg.LinAlgError:
                 factors[k] = np.eye(len(gram))
                 passed[k] = False
-    pivots = np.diagonal(factors, axis1=1, axis2=2)
-    passed &= pivots.min(axis=1) > pivots.max(axis=1) * min_pivot_ratio
     return factors, passed
 
 
@@ -68,7 +64,10 @@ def _inverse_lower(factors: np.ndarray) -> np.ndarray:
 
 def _regularized_grams(dictionaries: Sequence[FeatureMatrix], beta: float, dual: bool) -> np.ndarray:
     """Y^T Y + beta I of each same-shape dictionary, or Y Y^T + beta I when
-    dual, as one stack."""
+    dual, as one stack. beta <= 0 raises ValueError; a nan or infinite beta
+    makes the stack non-finite, which _cholesky rejects."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     size = dictionaries[0].dim if dual else dictionaries[0].count
     grams = np.empty((len(dictionaries), size, size))
     for gram, y in zip(grams, dictionaries):
@@ -81,15 +80,10 @@ def _regularized_grams(dictionaries: Sequence[FeatureMatrix], beta: float, dual:
 def _primal_inverse_factors(dictionaries: Sequence[FeatureMatrix], beta: float) -> np.ndarray:
     """L^{-1} of Y^T Y + beta I = L L^T for each same-shape dictionary, as
     one stack; FactorizationError for the first one that is not positive
-    definite or, at beta = 0, numerically singular."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    definite. A rank-deficient Y leaves tiny pivots in directions that Y W
+    does not reach, so the distance stays exact and no pivot bound applies."""
     grams = _regularized_grams(dictionaries, beta, dual=False)
-    # potrf can sneak past an exactly singular matrix with a rounded
-    # ~1e-8 pivot; beta = 0 is only allowed on nonsingular grams. At
-    # beta > 0 a rank-deficient Y leaves tiny pivots in directions that
-    # Y W does not reach, so the distance stays exact and no bound applies.
-    factors, passed = _cholesky(grams, beta, 1e-7 if beta == 0.0 else 0.0)
+    factors, passed = _cholesky(grams, beta)
     if not passed.all():
         gram = grams[np.argmin(passed)]
         raise FactorizationError(
@@ -124,7 +118,7 @@ class DictionaryFactor:
 
 
 def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """A = beta (Y Y^T + beta I)^{-1} (d x d) for beta > 0, for each
+    """A = beta (Y Y^T + beta I)^{-1} (d x d), for each
     same-shape dictionary whose K = Y Y^T + beta I passes the pivot rule
     below, stacked, and the mask of those dictionaries: the residual of X
     against Y is A X. A is symmetrized, so X^T A is the residual's transpose
@@ -134,8 +128,11 @@ def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float)
     reaches ||Y||^2 / beta when Y's rank is below d: at beta = 1e-15 a
     rank-31 32 x 122 unit-column Y gave r = 0.2378 for a true 0.1274. So a
     dictionary is left out, for the primal form to score it, unless K's
-    pivots differ by a factor below 1e4 (a condition number below 1e8)."""
-    factors, passed = _cholesky(_regularized_grams(dictionaries, beta, dual=True), beta, 1e-4)
+    pivots differ by a factor below 1e4 ((max/min)^2 bounds cond(K) from
+    below, so a condition number below 1e8)."""
+    factors, passed = _cholesky(_regularized_grams(dictionaries, beta, dual=True), beta)
+    pivots = np.diagonal(factors, axis1=1, axis2=2)
+    passed &= pivots.min(axis=1) > pivots.max(axis=1) * 1e-4
     inverse = _inverse_lower(factors[passed])
     a = beta * (inverse.transpose(0, 2, 1) @ inverse)
     return 0.5 * (a + a.transpose(0, 2, 1)), passed
@@ -148,13 +145,13 @@ def residual_operators(
     M, and the L^{-1} of each primal dictionary by its position in the list.
 
     Each group is (positions, dual, stacked operators), in one of two forms:
-    - dual (beta > 0, d < M, and K's pivots within a factor of 1e4): the
+    - dual (d < M, and K's pivots within a factor of 1e4): the
       residual is A X with A = beta K^{-1}, K = Y Y^T + beta I, because
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
       X - Y W cancellation, and the d x d operator is smaller than Y;
     - otherwise (primal): the residual is X - Y W with Y W = B B^T X and
-      B = Y L^{-T}, G = Y^T Y + beta I = L L^T; a singular G at beta = 0
-      raises FactorizationError.
+      B = Y L^{-T}, G = Y^T Y + beta I = L L^T; a G that Cholesky cannot
+      factor raises FactorizationError.
     Each group's K or G matrices are factored as one stack. A K too
     ill-conditioned for the dual form, where its rounding could return a
     plausible but wrong distance, sends its dictionary to the primal form,
@@ -168,7 +165,7 @@ def residual_operators(
     groups: list[tuple[np.ndarray, bool, np.ndarray]] = []
     inverses: dict[int, np.ndarray] = {}
     for (_, count), positions in group_by_shape([y.columns for y in dictionaries]).items():
-        if beta > 0 and dim < count:
+        if dim < count:
             operators, dual = _dual_residual_operators([dictionaries[i] for i in positions], beta)
             if dual.any():
                 groups.append((np.array(positions)[dual], True, operators))
@@ -252,11 +249,9 @@ class ReconstructionScorer:
 
 def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> np.ndarray:
     """Closed-form ridge solve of (Y^T Y + beta I) W = Y^T X, returning the
-    M x N float64 array W.
-
-    beta = 0 is accepted only when the Gram matrix is numerically positive
-    definite; a failed factorization raises with a condition diagnostic.
-    """
+    M x N float64 array W. beta must be positive; a Gram matrix that
+    Cholesky cannot factor raises FactorizationError with a condition
+    estimate."""
     return DictionaryFactor(y, beta).solve(x)
 
 

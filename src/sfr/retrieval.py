@@ -190,12 +190,13 @@ class ManifestEntry:
 
 
 def _manifest_text(obj: dict, key: str) -> str:
-    # A string or a number is read as its text. str() would also turn null
-    # into "None" and true into "True", which could then match another entry.
+    # load_manifest parses numbers as their JSON text, so 1.0 and 1.00 stay
+    # two subjects; anything else that is not a string (null, a bool, an
+    # array, an object) is rejected rather than read as "None" or "True".
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    if not isinstance(value, str):
         raise TypeError(f"{key} is {json.dumps(value)}, want a string or a number")
-    return str(value)
+    return value
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -211,7 +212,7 @@ def load_manifest(path) -> list[ManifestEntry]:
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line, parse_int=str, parse_float=str)
                     entry = ManifestEntry(*(_manifest_text(obj, key) for key in ("entryId", "subjectId", "path")))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise FormatError(f"{path}:{lineno}: bad manifest line: {exc}") from exc

@@ -75,13 +75,6 @@ class TestEuclideanDistance:
 class TestCombinedDistance:
     # The mined distances: the global distance plus the anchor's
     # reconstruction distance from the other sample's dictionary.
-    def test_identical_samples_beta_zero(self):
-        rng = np.random.default_rng(0)
-        spatial = fm(rng.standard_normal((3, 3)) + 3 * np.eye(3))
-        s = BatchSample("a", gf([1.0, 2.0, 3.0]), spatial)
-        other = BatchSample("b", gf([0.0, 0.0, 0.0]), spatial)
-        assert batch_hard_mine(twice_each(s, other), 0.0)[0].positive_distance < 1e-10
-
     def test_identical_spatial_reduces_to_global_plus_self_residual(self):
         from sfr.reconstruction import sfr_distance
 
@@ -165,6 +158,21 @@ class TestBatchHardMine:
                 )
                 assert f.positive_distance == s.positive_distance
                 assert f.negative_distance == s.negative_distance
+
+    def test_demo_encoder_batches_match_brute_force_at_d_64(self):
+        # The shape train-demo mines: the demo encoder's 64 channels, P = 6
+        # and K = 4 (24 samples, the oracle's cap), column counts 11, 14, 20
+        # and 26. A change to how anchors share products can alter a pair's
+        # last bits here while the dim-4 random batches above stay equal.
+        from sfr.cli import DEMO_DATA, DEMO_IDENTITIES, DEMO_LAYERS
+
+        pools = make_identity_pools(DEMO_IDENTITIES, 10, 7, **DEMO_DATA)
+        params = init_params(DEMO_LAYERS, 7)
+        for epoch in range(2):
+            batch = build_batch(sample_batch(pools, 6, 4, np.random.default_rng((7, epoch))), params)
+            assert {s.spatial.dim for s in batch.samples} == {64}
+            assert {s.spatial.count for s in batch.samples} == {11, 14, 20, 26}
+            assert batch_hard_mine(batch, BETA) == exhaustive_mine(batch, BETA)
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(7)

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from sfr.errors import FactorizationError, MismatchError
-from sfr.features import FeatureMatrix, SpatialFeatureMap, l2_normalize_columns, pool_feature_maps
-from sfr.oracle import finite_difference, relative_error, ridge_oracle
-from sfr.reconstruction import ReconstructionScorer, sfr_distance, sfr_gradients, solve_coefficients
+from sfr.features import FeatureMatrix, GlobalFeature, SpatialFeatureMap, l2_normalize_columns, pool_feature_maps
+from sfr.metric import batch_hard_mine
+from sfr.oracle import finite_difference, random_batch, relative_error, ridge_oracle
+from sfr.reconstruction import (
+    DictionaryFactor,
+    ReconstructionScorer,
+    sfr_distance,
+    sfr_gradients,
+    solve_coefficients,
+)
+from sfr.retrieval import build_gallery
 
 
 def fm(a):
@@ -31,12 +39,6 @@ class TestSolveCoefficients:
         w = solve_coefficients(fm([[2.0]]), fm([[1.0]]), 0.001)
         np.testing.assert_allclose(w, [[1.998002]], atol=1e-6)
 
-    def test_self_representation_beta_zero(self):
-        rng = np.random.default_rng(42)
-        x = fm(rng.standard_normal((5, 5)) + 3 * np.eye(5))
-        w = solve_coefficients(x, x, 0.0)
-        np.testing.assert_allclose(w, np.eye(5), atol=1e-8)
-
     def test_normal_equation_identity(self):
         rng = np.random.default_rng(42)
         for beta in (1e-3, 1e-1, 1.0):
@@ -50,14 +52,20 @@ class TestSolveCoefficients:
         with pytest.raises(MismatchError):
             solve_coefficients(fm([[1.0], [2.0]]), fm([[1.0]]), 0.1)
 
-    def test_negative_beta(self):
-        with pytest.raises(ValueError):
-            solve_coefficients(fm([[1.0]]), fm([[1.0]]), -0.1)
-
-    def test_singular_gram_at_beta_zero(self):
-        y = fm([[1.0, 1.0], [1.0, 1.0]])  # rank 1
-        with pytest.raises(FactorizationError, match="cond"):
-            solve_coefficients(fm([[1.0], [0.0]]), y, 0.0)
+    @pytest.mark.parametrize("beta", [0.0, -0.0, -1e-3])
+    @pytest.mark.parametrize("entry_point", [
+        lambda y, beta: solve_coefficients(y, y, beta),
+        lambda y, beta: sfr_distance(y, y, beta),
+        lambda y, beta: DictionaryFactor(y, beta),
+        lambda y, beta: ReconstructionScorer([y], beta),
+        lambda y, beta: build_gallery([("e", (GlobalFeature(np.ones(2)), y))], 0.5, beta),
+        lambda y, beta: batch_hard_mine(random_batch(np.random.default_rng(0), 2, 2, 2), beta),
+    ], ids=["solve_coefficients", "sfr_distance", "DictionaryFactor", "ReconstructionScorer", "build_gallery",
+            "batch_hard_mine"])
+    def test_negative_beta(self, entry_point, beta):
+        # beta > 0 is the ridge solver's one precondition (CLI exit 2).
+        with pytest.raises(ValueError, match="beta must be positive"):
+            entry_point(fm([[1.0, 0.0], [0.0, 1.0]]), beta)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -75,25 +83,6 @@ class TestSfrDistance:
 
     def test_scalar_case(self):
         np.testing.assert_allclose(sfr_distance(fm([[2.0]]), fm([[1.0]]), 0.001), 0.001998, atol=1e-6)
-
-    def test_span_membership_zero_distance(self):
-        rng = np.random.default_rng(42)
-        y = fm(rng.standard_normal((4, 4)) + 3 * np.eye(4))
-        coeffs = rng.standard_normal((4, 3))
-        x = fm(y.columns @ coeffs)
-        assert sfr_distance(x, y, 0.0) < 1e-10
-
-    def test_zero_iff_span_membership_tall_dictionary(self):
-        # full-column-rank Y with fewer columns than rows: distance vanishes
-        # exactly for X inside the column span
-        rng = np.random.default_rng(43)
-        basis, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-        y = fm(basis)
-        inside = fm(basis @ rng.standard_normal((3, 2)))
-        assert sfr_distance(inside, y, 0.0) < 1e-10
-        complement = np.eye(5) - basis @ basis.T
-        outside = fm(complement @ rng.standard_normal((5, 2)) + 1e-3 * basis[:, :2])
-        assert sfr_distance(outside, y, 0.0) > 1e-3
 
     def test_distance_matches_residual_recomputation(self):
         rng = np.random.default_rng(4)
@@ -259,7 +248,6 @@ class TestReconstructionScorer:
     @pytest.mark.parametrize("d, m, beta, dual", [
         (4, 9, 1e-3, True),
         (9, 9, 1e-3, False),
-        (9, 9, 0.0, False),
         (9, 4, 1e-3, False),
     ])
     def test_dual_form_only_for_positive_beta_and_d_below_m(self, d, m, beta, dual):
@@ -280,22 +268,12 @@ class TestReconstructionScorer:
         for j in (2, 0, 2):
             np.testing.assert_array_equal(scorer.solve(j, x), solve_coefficients(x, ys[j], 1e-3))
 
-    def test_wide_dictionary_at_beta_zero_stays_singular(self):
-        # d < M makes Y^T Y singular; beta = 0 never takes the dual form
-        rng = np.random.default_rng(12)
-        with pytest.raises(FactorizationError):
-            ReconstructionScorer([fm(rng.standard_normal((4, 9)))], 0.0)
-
     @pytest.mark.parametrize("d, m", [(4, 9), (9, 4)])
     def test_non_finite_distance_raises_value_error(self, d, m):
         rng = np.random.default_rng(13)
         scorer = ReconstructionScorer([fm(rng.standard_normal((d, m)))], 1e-3)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             scorer.distances(fm(np.full((d, 2), 1e200)))
-
-    def test_singular_gram_at_beta_zero(self):
-        with pytest.raises(FactorizationError):
-            ReconstructionScorer([fm([[1.0, 1.0], [1.0, 1.0]])], 0.0)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(14)
@@ -362,10 +340,11 @@ class TestCholeskyFactors:
         assert forms == {False, True}
 
     def test_not_positive_definite_raises_with_condition(self):
-        # rank-1 Y: potrf meets a zero pivot, FactorizationError (CLI exit 3)
+        # rank-1 Y: at beta = 1e-30, below the rounding of 1 + beta, potrf
+        # meets a zero pivot, FactorizationError (CLI exit 3)
         y = fm([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(FactorizationError, match=r"not positive definite.*cond~"):
-            solve_coefficients(fm([[1.0], [0.0]]), y, 0.0)
+        with pytest.raises(FactorizationError, match=r"not positive definite.*beta=1e-30, cond~"):
+            solve_coefficients(fm([[1.0], [0.0]]), y, 1e-30)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     @pytest.mark.parametrize("d, m", [(4, 9), (9, 4)])
@@ -401,14 +380,14 @@ def augmented_distance(x, y, beta):
 class TestPivotGuard:
     # A dual operator whose K is near singular sends its dictionary to the
     # primal form, which scores it as the augmented least-squares route does
-    # or raises FactorizationError. Only a Gram matrix that is singular at
-    # beta = 0, or one whose beta is below its rounding, may be rejected.
+    # or raises FactorizationError. Only a Gram matrix whose beta is below
+    # its rounding may be rejected.
     @pytest.mark.parametrize("d, m", [(32, 122), (64, 14), (8, 30), (16, 16)])
     def test_raises_or_agrees_with_augmented_least_squares(self, d, m):
         full = min(d, m)
         for rank in (full, full - 1, full // 2, 2):
             for seed in range(3):
-                for beta in (0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
+                for beta in (1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
                     rng = np.random.default_rng(seed)
                     y = low_rank_unit(rng, d, rank, m)
                     x = rng.standard_normal((d, 20))
@@ -428,9 +407,8 @@ class TestPivotGuard:
         y = low_rank_unit(rng, 32, 31, 122)
         x = rng.standard_normal((32, 20))
         x /= np.linalg.norm(x, axis=0)
-        for beta in (0.0, 1e-15):
-            with pytest.raises(FactorizationError, match=r"singular.*beta=.*cond~"):
-                ReconstructionScorer([fm(y)], beta)
+        with pytest.raises(FactorizationError, match=r"singular.*beta=.*cond~"):
+            ReconstructionScorer([fm(y)], 1e-15)
         for beta in (1e-13, 1e-10):
             r = ReconstructionScorer([fm(y)], beta).distances(fm(x))[0]
             assert r == pytest.approx(augmented_distance(x, y, beta), rel=1e-12, abs=0)

@@ -334,9 +334,21 @@ class TestManifests:
     def test_numbers_read_as_text(self, tmp_path):
         from sfr.retrieval import ManifestEntry
 
+        # Each number keeps its spelling: 1.0, 1.00 and 1e0 are three
+        # subjects, and 1E2 is not the id "100.0".
         path = tmp_path / "m.jsonl"
-        path.write_text('{"entryId": 7, "subjectId": 1.5, "path": "x"}\n')
-        assert load_manifest(path) == [ManifestEntry("7", "1.5", "x")]
+        path.write_text(
+            '{"entryId": 7, "subjectId": 1.5, "path": "x"}\n'
+            '{"entryId": 1E2, "subjectId": 1.00, "path": "y"}\n'
+            '{"entryId": -0, "subjectId": 1e0, "path": 3}\n'
+            '{"entryId": "a", "subjectId": 1.0, "path": "z"}\n'
+        )
+        assert load_manifest(path) == [
+            ManifestEntry("7", "1.5", "x"),
+            ManifestEntry("1E2", "1.00", "y"),
+            ManifestEntry("-0", "1e0", "3"),
+            ManifestEntry("a", "1.0", "z"),
+        ]
 
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -15,6 +15,9 @@ Each command gets a directory holding its output files, `stdout.txt`,
 - `train-demo/seed7`: `train-demo --seed 7` (`loss.csv`, `encoder.sfrf`);
 - `train-demo/seed7-8-epochs-raw`: the same for 8 epochs with
   `--no-normalize`, which exits 4;
+- `train-demo/seed7-2-epochs-beta-1e-30`: 2 epochs at `--beta 1e-30`, below
+  the rounding of the Gram matrices, so a dictionary's Cholesky factorization
+  fails: exit 3 with the condition estimate on stderr;
 - `verify`: the oracle suite's JSON report;
 - `verify-verbose`: `verify --verbose`, which adds the per-case error table
   on stderr;
@@ -25,6 +28,9 @@ Each command gets a directory holding its output files, `stdout.txt`,
   `--no-normalize` the `match` outputs (`rankings.csv`, `summary.json`),
   `eval` of those rankings (`cmc.csv`, `summary.json`) and `pool` of the
   first three gallery maps;
+- `match-small-dict-seed1/raw-beta-1e-30/match`: `match --beta 1e-30
+  --no-normalize` on those inputs, which fails factorization as the demo
+  above does (exit 3);
 - `dual-fallback/`: a small seeded set whose raw dictionaries leave the dual
   form of the reconstruction score for the primal one, and `match` on it
   with and without `--no-normalize`. Its six gallery maps are 32-channel
@@ -164,12 +170,20 @@ def main(argv: list[str]) -> int:
     run(demo / "seed7", ["train-demo", "--out", str(demo / "seed7"), "--seed", "7"])
     raw = demo / "seed7-8-epochs-raw"
     run(raw, ["train-demo", "--out", str(raw), "--seed", "7", "--epochs", "8", "--no-normalize"])
+    singular = demo / "seed7-2-epochs-beta-1e-30"
+    run(singular, ["train-demo", "--out", str(singular), "--seed", "7", "--epochs", "2", "--beta", "1e-30"])
     run(out / "verify", ["verify"])
     run(out / "verify-verbose", ["verify", "--verbose"])
     run(out / "verify-inject-fault", ["verify", "--inject-fault"])
     for name in MATCH_WORKLOADS:
         for seed in SEEDS:
             snapshot_match(out / f"{name}-seed{seed}", name, seed)
+    inputs = out / "match-small-dict-seed1" / "inputs"
+    singular = out / "match-small-dict-seed1" / "raw-beta-1e-30" / "match"
+    run(singular, [
+        "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
+        "--out", str(singular), "--beta", "1e-30", "--no-normalize",
+    ])
     snapshot_dual_fallback(out / "dual-fallback")
     snapshot_mixed_blocks(out / "mixed-blocks")
     return 0
