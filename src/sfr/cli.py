@@ -18,16 +18,20 @@ import csv
 import itertools
 import json
 import math
+import os
+import pickle
+import shutil
+import signal
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .encoder import encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
-from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled
+from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled, usable_kernels
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
@@ -38,7 +42,7 @@ from .retrieval import (
     build_gallery,
     evaluate,
     load_manifest,
-    match_probe,
+    match_probes,
     write_cmc_csv,
     write_summary_json,
 )
@@ -47,6 +51,13 @@ from .toydata import make_identity_pools
 DEMO_IDENTITIES = 10
 DEMO_LAYERS = ((64, 1, 7, True),)
 DEMO_DATA = dict(base_shape=(16, 12), cells=(4, 3), noise=0.01, jitter=0.3, min_crop=(14, 11))
+# The CPUs this process may run on: the default of --workers.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# `sfr match` forks its probe workers, so that they inherit the built gallery
+# copy-on-write instead of building or unpickling it again (OpenBLAS shuts its
+# thread pool down at a fork and restarts it on demand). Fork is used on Linux
+# only; elsewhere every chunk is ranked in-process.
+CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
 
 
 @dataclass
@@ -62,7 +73,7 @@ class RunConfig:
     lr: float = 1e-4
     lr_schedule: str = "constant"  # "constant" or "step:<factor>:<interval>"
     seed: int = 7
-    workers: int = 1
+    workers: int = CPUS
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "margin", "lr"):
@@ -160,28 +171,150 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int)
 
 
-def _load_pooled(manifest, manifest_path, cfg: RunConfig) -> Iterator[tuple[str, Pooled]]:
+def _load_map(path: Path, spec: PyramidSpec, dim: int | None):
+    """One SFRF map, checked for what would fail its block later: a channel
+    count other than `dim` (MismatchError) and a grid that no kernel fits
+    (ValueError). A manifest's first faulty map is then the one reported,
+    wherever the block and chunk boundaries fall."""
+    fmap = load_feature_map(path)
+    channels, height, width = fmap.values.shape
+    if dim is not None and channels != dim:
+        raise MismatchError(f"{path}: feature dim {channels} != gallery dim {dim}")
+    if not usable_kernels(spec, height, width):
+        raise ValueError(f"{path}: every kernel in {spec.kernel_sizes} exceeds min(H, W) = {min(height, width)}")
+    return fmap
+
+
+def _load_pooled(manifest, manifest_path, cfg: RunConfig, dim: int | None = None) -> Iterator[tuple[str, Pooled]]:
     """A manifest's (entry id, (global, spatial)) pairs, in manifest order:
     each map's global average and its pyramid-pooled columns, normalized when
     cfg says so. Maps are loaded and pooled in blocks of GALLERY_BLOCK
     consecutive entries, and no block is held here once its last pair has
     been taken. A relative map path is relative to the manifest; an absolute
-    one replaces the base."""
+    one replaces the base. Given `dim`, every map must have that many
+    channels."""
     base = Path(manifest_path).resolve().parent
+    spec = cfg.pyramid()
     for start in range(0, len(manifest), GALLERY_BLOCK):
         block = manifest[start:start + GALLERY_BLOCK]
         # No local holds the maps or the pooled list: a local would keep this
         # block alive while the next one is loaded.
         yield from zip(
             (m.entry_id for m in block),
-            pool_feature_maps([load_feature_map(base / m.path) for m in block], cfg.pyramid(), cfg.normalize),
+            pool_feature_maps([_load_map(base / m.path, spec, dim) for m in block], spec, cfg.normalize),
         )
 
 
 def _rank(gallery: GalleryIndex, probes: Iterable[tuple[str, Pooled]]) -> list[RetrievalRanking]:
     """Each probe of (probe id, (global, spatial)) pairs ranked against the
-    gallery, in their order."""
-    return [match_probe(pooled, gallery, probe_id) for probe_id, pooled in probes]
+    gallery, in their order, scored GALLERY_BLOCK probes at a time."""
+    probes = iter(probes)
+    rankings = []
+    while block := list(itertools.islice(probes, GALLERY_BLOCK)):
+        rankings += match_probes(block, gallery)
+    return rankings
+
+
+def probe_chunks(count: int, workers: int) -> list[range]:
+    """The contiguous chunks that `sfr match` splits `count` probes into, in
+    order: min(workers, ceil(count / GALLERY_BLOCK)) of them, so that no
+    worker gets less than a block's worth unless there is only one chunk,
+    with sizes that differ by at most one."""
+    chunks = min(workers, -(-count // GALLERY_BLOCK))
+    size, extra = divmod(count, chunks)
+    bounds = [k * size + min(k, extra) for k in range(chunks + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _fork_worker(work) -> tuple[int, BinaryIO]:
+    """Run work() in a forked child; returns its pid and the read end of a
+    pipe that carries the pickled result, or the exception work() raised.
+    The child leaves through os._exit, so none of the parent's cleanup,
+    buffered output or callers run in it; a child that cannot send its
+    result sends nothing, which _collect reports."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = work()
+            except BaseException as exc:  # handed to the parent, which re-raises it
+                result = exc
+            payload = pickle.dumps(result)
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _collect(pid: int, pipe: BinaryIO, reaped: set[int]):
+    """The result that a forked worker sent through `pipe`, read to its end;
+    the worker is reaped, and its pid added to `reaped`."""
+    payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    reaped.add(pid)
+    if not payload:
+        raise ChildProcessError(f"probe worker {pid} exited with status {status} and no result")
+    return pickle.loads(payload)
+
+
+def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig, out: Path) -> list[RetrievalRanking]:
+    """Every probe of the manifest ranked against the gallery, in manifest
+    order, and their rows written to out/rankings.csv.
+
+    The probes are split into probe_chunks(n, cfg.workers). The parent
+    forks one worker per chunk after the first, which inherits the built
+    gallery, ranks its chunk, writes its rows to its own part file and sends
+    its rankings back; the parent ranks the first chunk itself and then
+    concatenates the parts in probe order. A pair's distances do not depend
+    on the chunk it is scored in, so the bytes do not depend on the worker
+    count. The first chunk, in probe order, that failed has its exception
+    re-raised, and no rankings.csv or part file is written or left. Every
+    worker is reaped before this returns or raises."""
+    chunks = probe_chunks(len(manifest), cfg.workers if CAN_FORK else 1)
+    parts = [out / f"rankings.csv.part{k}" for k in range(len(chunks))]
+
+    def rank(chunk: range) -> list[RetrievalRanking]:
+        return _rank(gallery, _load_pooled(manifest[chunk.start:chunk.stop], manifest_path, cfg, gallery.dim))
+
+    def rank_to_part(chunk: range, part: Path) -> list[RetrievalRanking]:
+        rankings = rank(chunk)
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            _write_rankings_rows(fh, rankings)
+        return rankings
+
+    workers: list[tuple[int, BinaryIO]] = []  # (pid, its result pipe), in chunk order
+    reaped: set[int] = set()
+    try:
+        for chunk, part in zip(chunks[1:], parts[1:]):
+            workers.append(_fork_worker(lambda chunk=chunk, part=part: rank_to_part(chunk, part)))
+        # The first part holds the header and this process's rows, written
+        # while the workers still run; the others are appended to it.
+        rankings = rank(chunks[0])
+        _write_rankings_csv(parts[0], rankings)
+        with open(parts[0], "a", encoding="utf-8", newline="") as fh:
+            for (pid, pipe), part in zip(workers, parts[1:]):
+                result = _collect(pid, pipe, reaped)
+                if isinstance(result, BaseException):
+                    raise result
+                rankings += result
+                with open(part, "r", encoding="utf-8", newline="") as rows:
+                    shutil.copyfileobj(rows, fh)
+        os.replace(parts[0], out / "rankings.csv")
+        return rankings
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def cmd_pool(args, cfg: RunConfig) -> int:
@@ -195,23 +328,27 @@ _RANKINGS_HEADER = ["probeId", "rank", "entryId", "d", "r", "s"]
 _RANKINGS_ROW = "%s,%d,%s,%.17g,%.17g,%.17g\n"
 
 
-def _write_rankings_csv(path, rankings) -> None:
+def _write_rankings_rows(fh, rankings) -> None:
     """One CSV row per (probe, rank): the floats as `.17g`, which round-trips
     every float64. Each probe's rows are formatted from its columns and
     written in one call."""
+    for ranking in rankings:
+        n = len(ranking.entry_ids)
+        rows = zip(
+            itertools.repeat(ranking.probe_id, n),
+            range(1, n + 1),
+            ranking.entry_ids,
+            ranking.global_dist.tolist(),
+            ranking.sfr_dist.tolist(),
+            ranking.fused.tolist(),
+        )
+        fh.write((_RANKINGS_ROW * n) % tuple(itertools.chain.from_iterable(rows)))
+
+
+def _write_rankings_csv(path, rankings) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_RANKINGS_HEADER) + "\n")
-        for ranking in rankings:
-            n = len(ranking.entry_ids)
-            rows = zip(
-                itertools.repeat(ranking.probe_id, n),
-                range(1, n + 1),
-                ranking.entry_ids,
-                ranking.global_dist.tolist(),
-                ranking.sfr_dist.tolist(),
-                ranking.fused.tolist(),
-            )
-            fh.write((_RANKINGS_ROW * n) % tuple(itertools.chain.from_iterable(rows)))
+        _write_rankings_rows(fh, rankings)
 
 
 def _read_rankings_csv(path) -> list[RetrievalRanking]:
@@ -260,11 +397,9 @@ def cmd_match(args, cfg: RunConfig) -> int:
     truth = {m.entry_id: m.subject_id for m in probe_manifest}
     subject_of = {m.entry_id: m.subject_id for m in gallery_manifest}
     gallery = build_gallery(_load_pooled(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
-    rankings = _rank(gallery, _load_pooled(probe_manifest, args.probes, cfg))
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_rankings_csv(out / "rankings.csv", rankings)
+    rankings = _rank_probes(gallery, probe_manifest, args.probes, cfg, out)
     write_summary_json(out / "summary.json", evaluate(rankings, truth, subject_of))
     return 0
 

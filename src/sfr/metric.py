@@ -118,10 +118,13 @@ def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], Reconst
     if any(s.global_feature.dim != dim for s in samples):
         raise MismatchError(f"global feature dims differ within the batch (first is {dim})")
     globals_ = np.stack([s.global_feature.values for s in samples])
-    scorer = ReconstructionScorer([s.spatial for s in samples], beta)
-    d = np.stack(
-        [global_distances(s.global_feature.values, globals_) + scorer.distances(s.spatial) for s in samples]
-    )
+    spatial = [s.spatial for s in samples]
+    scorer = ReconstructionScorer(spatial, beta)
+    # The anchors of each column count are scored in one call.
+    d = np.empty((len(samples), len(samples)))
+    for positions in group_by_shape([x.columns for x in spatial]).values():
+        d[positions] = scorer.stacked_distances([spatial[i] for i in positions])
+    d += np.stack([global_distances(s.global_feature.values, globals_) for s in samples])
     np.fill_diagonal(d, 0.0)
     # Each identity appears K times, so every row of the label-equality
     # matrix has K - 1 positives (anchor excluded) and n - K negatives, which

@@ -9,8 +9,9 @@ operator is a few matrix products. A dictionary's slice goes through the
 same calls whether its stack holds one dictionary or many. The
 reconstruction distance is the mean l2 norm of the residual columns of
 X - Y W; residual_operators builds the stacked scoring operators of many
-dictionaries and residual_distances scores one probe against all of them,
-for ReconstructionScorer (mining) and for a gallery block (matching).
+dictionaries and residual_distances scores a stack of same-shape probes
+against all of them, for ReconstructionScorer (mining) and for a gallery
+block (matching).
 During training the gradients of the squared Frobenius residual are used
 instead, with W held fixed by the alternating scheme.
 """
@@ -138,6 +139,43 @@ def _dual_residual_operators(dictionaries: Sequence[FeatureMatrix], beta: float)
     return 0.5 * (a + a.transpose(0, 2, 1)), passed
 
 
+# A primal pair is scored from ||x_n||^2 - ||E^T x_n||^2 unless a column's
+# squared residual falls below GRAM_FORM_FLOOR ||x_n||^2; see
+# residual_distances for the bound this gives.
+GRAM_FORM_FLOOR = 1e-3
+
+
+def _primal_residual_operators(
+    dictionaries: Sequence[FeatureMatrix], inverse: np.ndarray, beta: float
+) -> np.ndarray:
+    """The scoring operators of same-shape primal dictionaries, from their
+    stacked L^{-1}: per dictionary the d x M matrix E = B R over the M x M
+    matrix (R^T R)^{-1}, as one (dictionaries, d + M, M) stack.
+
+    B = Y L^{-T} and R is the lower Cholesky factor of I + beta L^{-1} L^{-T},
+    which is 2I - B^T B. So E E^T = 2P - P^2 for the projection P = B B^T
+    onto the span of Y's columns, and ||x - P x||^2 = ||x||^2 - ||E^T x||^2:
+    one d x M product per probe. The eigenvalues of I + beta L^{-1} L^{-T}
+    lie in (1, 2], so R is well conditioned whatever cond(G) is, and
+    E (R^T R)^{-1} E^T = B B^T gives the direct form x - P x from the same
+    stack."""
+    dim, count = dictionaries[0].dim, inverse.shape[1]
+    shifted = inverse @ inverse.transpose(0, 2, 1)
+    shifted *= beta
+    shifted += np.eye(count)
+    factors, _ = _cholesky(shifted, beta)
+    r_inverse = _inverse_lower(factors)
+    # E = (Y L^{-T}) R, written into a preallocated stack, as a list of them
+    # and its stacked copy would double the peak memory. Forming B first
+    # halved r's largest error against augmented least squares, next to
+    # Y (L^{-T} R), on the snapshot's raw and normalized primal pairs.
+    operators = np.empty((len(dictionaries), dim + count, count))
+    for k, y in enumerate(dictionaries):
+        np.matmul(y.columns @ inverse[k].T, factors[k], out=operators[k, :dim])
+    operators[:, dim:] = r_inverse @ r_inverse.transpose(0, 2, 1)
+    return operators
+
+
 def residual_operators(
     dictionaries: Sequence[FeatureMatrix], beta: float
 ) -> tuple[list[tuple[np.ndarray, bool, np.ndarray]], dict[int, np.ndarray]]:
@@ -149,9 +187,9 @@ def residual_operators(
       residual is A X with A = beta K^{-1}, K = Y Y^T + beta I, because
       I - Y (Y^T Y + beta I)^{-1} Y^T = beta (Y Y^T + beta I)^{-1}; no
       X - Y W cancellation, and the d x d operator is smaller than Y;
-    - otherwise (primal): the residual is X - Y W with Y W = B B^T X and
-      B = Y L^{-T}, G = Y^T Y + beta I = L L^T; a G that Cholesky cannot
-      factor raises FactorizationError.
+    - otherwise (primal): E over (R^T R)^{-1}, a (d + M) x M operator
+      (_primal_residual_operators), from G = Y^T Y + beta I = L L^T; a G
+      that Cholesky cannot factor raises FactorizationError.
     Each group's K or G matrices are factored as one stack. A K too
     ill-conditioned for the dual form, where its rounding could return a
     plausible but wrong distance, sends its dictionary to the primal form,
@@ -171,35 +209,61 @@ def residual_operators(
                 groups.append((np.array(positions)[dual], True, operators))
             positions = [i for i, d in zip(positions, dual) if not d]
         if positions:
-            primal = [dictionaries[i] for i in positions]
-            inverse = _primal_inverse_factors(primal, beta)
-            # B = Y L^{-T}, written into a preallocated stack, as a list
-            # of them and its stacked copy would double the peak memory.
-            operators = np.empty((len(positions), dim, count))
-            for k, (i, y) in enumerate(zip(positions, primal)):
-                inverses[i] = inverse[k]
-                np.matmul(y.columns, inverse[k].T, out=operators[k])
+            inverse = _primal_inverse_factors([dictionaries[i] for i in positions], beta)
+            inverses.update(zip(positions, inverse))
+            operators = _primal_residual_operators([dictionaries[i] for i in positions], inverse, beta)
             groups.append((np.array(positions), False, operators))
     return groups, inverses
 
 
-def residual_distances(groups: list[tuple[np.ndarray, bool, np.ndarray]], size: int, x: FeatureMatrix) -> np.ndarray:
-    """Mean residual column norm of x against each of the `size` dictionaries
-    whose operator groups residual_operators returned, in list order."""
-    # The residual is formed transposed, one row per probe column, so that
+def residual_distances(
+    groups: list[tuple[np.ndarray, bool, np.ndarray]], size: int, probes: Sequence[FeatureMatrix]
+) -> np.ndarray:
+    """Mean residual column norm of each of a stack of same-shape probes
+    against each of the `size` dictionaries whose operator groups
+    residual_operators returned: a (probes, size) array, in list order.
+
+    A primal pair is one slice of a broadcast product over probes and
+    dictionaries, so it has the bits it gets scored alone. Its squared
+    column residual r_n^2 = ||x_n||^2 - ||E^T x_n||^2 carries an absolute
+    rounding error of about g ||x_n||^2, where g is the relative rounding of
+    the two squared norms (a small multiple of eps), so r_n is off by about
+    g ||x_n||^2 / (2 r_n^2) relative. While r_n^2 >= tau ||x_n||^2, with
+    tau = GRAM_FORM_FLOOR, that is at most g / (2 tau) = 500 g: no column
+    loses more than log10(500) = 2.7 digits to the cancellation. A pair with
+    any column below the floor, as a probe made of the dictionary's own
+    columns has, is scored again whole in the direct form
+    x - E (R^T R)^{-1} E^T x, whose relative error is about g ||x_n|| / r_n,
+    below the Gram form's there. The dual form is applied one probe at a
+    time: stacked, it was slower.
+    """
+    # Each residual is formed transposed, one row per probe column, so that
     # each column norm reduces a contiguous row.
-    xt = x.columns.T
-    out = np.empty(size)
+    out = np.empty((len(probes), size))
+    xt = np.stack([x.columns.T for x in probes])
     for positions, dual, operators in groups:
-        # One residual-sized buffer, updated in place: a second one of
-        # that size per call made scoring several times slower.
         if dual:
-            residual_t = xt @ operators
-        else:
-            residual_t = (xt @ operators) @ operators.transpose(0, 2, 1)
-            np.subtract(xt, residual_t, out=residual_t)
-        np.square(residual_t, out=residual_t)
-        out[positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
+            for i, x in enumerate(probes):
+                # One residual-sized buffer, updated in place: a second one
+                # of that size per call made scoring several times slower.
+                residual_t = x.columns.T @ operators
+                np.square(residual_t, out=residual_t)
+                out[i, positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
+            continue
+        dim = xt.shape[2]
+        e, gram_inverse = operators[:, :dim], operators[:, dim:]
+        squares = np.square(xt).sum(axis=2)[:, None, :]
+        projected = xt[:, None] @ e[None]
+        with np.errstate(invalid="ignore"):  # inf - inf: raised below as non-finite
+            r2 = squares - np.square(projected).sum(axis=3)
+        rescore = (r2 < GRAM_FORM_FLOOR * squares).any(axis=2)
+        for i in np.flatnonzero(rescore.any(axis=1)):
+            # This probe's flagged pairs, stacked: at most one residual-sized
+            # buffer per dictionary of the group, as the dual form holds.
+            k = np.flatnonzero(rescore[i])
+            residual_t = xt[i] - (projected[i, k] @ gram_inverse[k]) @ e[k].transpose(0, 2, 1)
+            r2[i, k] = np.square(residual_t).sum(axis=2)
+        out[:, positions] = np.sqrt(r2).mean(axis=2)
     if not np.isfinite(out).all():
         raise ValueError("reconstruction distances contain non-finite values")
     return out
@@ -242,9 +306,15 @@ class ReconstructionScorer:
 
     def distances(self, x: FeatureMatrix) -> np.ndarray:
         """Mean residual column norm of x against each dictionary."""
-        if x.dim != self.dim:
-            raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dim}")
-        return residual_distances(self._groups, self.size, x)
+        return self.stacked_distances([x])[0]
+
+    def stacked_distances(self, xs: Sequence[FeatureMatrix]) -> np.ndarray:
+        """distances() of each of a stack of same-shape probes, as one
+        (probes, dictionaries) array; row i has the bits of distances(xs[i])."""
+        for x in xs:
+            if x.dim != self.dim:
+                raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dim}")
+        return residual_distances(self._groups, self.size, xs)
 
 
 def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> np.ndarray:

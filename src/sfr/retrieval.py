@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, MismatchError
-from .features import FeatureMatrix, GlobalFeature
+from .features import FeatureMatrix, GlobalFeature, group_by_shape
 from .metric import global_distances
 from .reconstruction import residual_distances, residual_operators
 
@@ -121,20 +121,37 @@ def build_gallery(entries: Iterable[tuple[str, Pooled]], alpha: float, beta: flo
     return GalleryIndex(entries, alpha, beta)
 
 
-def match_probe(probe: Pooled, gallery: GalleryIndex, probe_id: str = "") -> RetrievalRanking:
-    """Score one probe against every gallery entry, block by block, and rank
-    ascending."""
-    probe_global, probe_spatial = probe
-    if probe_global.dim != gallery.dim or probe_spatial.dim != gallery.dim:
-        raise MismatchError(
-            f"probe dims ({probe_global.dim}, {probe_spatial.dim}) != gallery dim {gallery.dim}"
+def match_probes(probes: Sequence[tuple[str, Pooled]], gallery: GalleryIndex) -> list[RetrievalRanking]:
+    """Score each (probe id, (global, spatial)) pair against every gallery
+    entry and rank ascending, in the order given. The probes of each spatial
+    shape are scored against each gallery block in one call, and each pair
+    has the bits it gets scored alone, so a ranking does not depend on the
+    other probes in the list."""
+    for _, (probe_global, probe_spatial) in probes:
+        if probe_global.dim != gallery.dim or probe_spatial.dim != gallery.dim:
+            raise MismatchError(
+                f"probe dims ({probe_global.dim}, {probe_spatial.dim}) != gallery dim {gallery.dim}"
+            )
+    r = np.empty((len(probes), len(gallery.entry_ids)))
+    for positions in group_by_shape([spatial.columns for _, (_, spatial) in probes]).values():
+        stack = [probes[i][1][1] for i in positions]
+        r[positions] = np.concatenate(
+            [residual_distances(groups, size, stack) for size, groups in gallery._blocks], axis=1
         )
-    d = global_distances(probe_global.values, gallery._globals)
-    r = np.concatenate([residual_distances(groups, size, probe_spatial) for size, groups in gallery._blocks])
-    fused = gallery.alpha * d + (1.0 - gallery.alpha) * r
-    order = np.argsort(fused, kind="stable")
-    ids = tuple(map(gallery.entry_ids.__getitem__, order.tolist()))
-    return RetrievalRanking(probe_id, ids, d[order], r[order], fused[order])
+    rankings = []
+    for (probe_id, (probe_global, _)), r_row in zip(probes, r):
+        d = global_distances(probe_global.values, gallery._globals)
+        fused = gallery.alpha * d + (1.0 - gallery.alpha) * r_row
+        order = np.argsort(fused, kind="stable")
+        ids = tuple(map(gallery.entry_ids.__getitem__, order.tolist()))
+        rankings.append(RetrievalRanking(probe_id, ids, d[order], r_row[order], fused[order]))
+    return rankings
+
+
+def match_probe(probe: Pooled, gallery: GalleryIndex, probe_id: str = "") -> RetrievalRanking:
+    """Score one probe against every gallery entry and rank ascending: the
+    ranking match_probes gives it."""
+    return match_probes([(probe_id, probe)], gallery)[0]
 
 
 def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str]) -> None:

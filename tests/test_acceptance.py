@@ -1,7 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +43,19 @@ from sfr.retrieval import (
     write_manifest,
 )
 from sfr.toydata import make_identity_pools
+
+
+def run_in_subprocess(argv, blas_threads):
+    """`sfr` with `argv` in a fresh interpreter whose BLAS runs that many threads."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
+        "OMP_NUM_THREADS": str(blas_threads),
+        "MKL_NUM_THREADS": str(blas_threads),
+    }
+    code = "import sys; from sfr.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
 
 
 def report(number, name, detail=""):
@@ -249,12 +266,19 @@ def test_criterion_9_parallel_determinism(tmp_path):
         return manifest
 
     gallery = write_set("gal", 50, 1)
-    probes = write_set("probe", 50, 4)  # 200 probes
-    out1, out8 = tmp_path / "w1", tmp_path / "w8"
-    assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out8), "--workers", "8"]) == 0
-    assert (out1 / "rankings.csv").read_bytes() == (out8 / "rankings.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out8 / "summary.json").read_bytes()
+    probes = write_set("probe", 50, 4)  # 200 probes: up to 7 chunks
+    outputs = set()
+    for blas_threads in (1, 2):
+        for flags in (["--workers", "1"], ["--workers", "2"], ["--workers", "8"], []):
+            out = tmp_path / f"blas{blas_threads}-workers{'-'.join(flags[1:]) or 'default'}"
+            argv = ["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out), *flags]
+            result = run_in_subprocess(argv, blas_threads)
+            assert result.returncode == 0, result.stderr
+            outputs.add(((out / "rankings.csv").read_bytes(), (out / "summary.json").read_bytes()))
+    assert len(outputs) == 1
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    report(9, "200-probe match is byte-identical with 1 and 8 workers", f"{elapsed:.1f}s")
+    report(
+        9, "200-probe match is byte-identical at 1, 2, 8 and the default workers, with 1 and 2 BLAS threads",
+        f"{elapsed:.1f}s",
+    )

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from sfr import cli
 from sfr.cli import RunConfig, main
 from sfr.features import SpatialFeatureMap, load_pooled, pool_feature_maps, save_feature_map
-from sfr.retrieval import ManifestEntry, write_manifest
+from sfr.retrieval import GALLERY_BLOCK, ManifestEntry, write_manifest
 
 
 def write_map(path, rng, c=6, h=4, w=3):
@@ -144,46 +145,140 @@ class TestMatch:
         assert not (out / "rankings.csv").exists()
 
     def test_workers_byte_identical(self, tmp_path):
+        # 70 probes make three 32-probe blocks: --workers 2 forks one worker,
+        # --workers 8 two, and no flag one per CPU up to three chunks. Each
+        # runs in a fresh interpreter with one and with two BLAS threads.
         rng = np.random.default_rng(46)
-        gallery = make_set(tmp_path, rng, "gal", 8, 1)
-        probes = make_set(tmp_path, rng, "probe", 8, 2)
-        out1, out8 = tmp_path / "w1", tmp_path / "w8"
-        assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out1), "--workers", "1"]) == 0
-        assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out8), "--workers", "8"]) == 0
-        assert (out1 / "rankings.csv").read_bytes() == (out8 / "rankings.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out8 / "summary.json").read_bytes()
+        gallery = make_set(tmp_path, rng, "gal", 40, 1)
+        probes = make_set(tmp_path, rng, "probe", 35, 2)
+        outputs = set()
+        for blas_threads in (1, 2):
+            for flags in WORKER_FLAGS:
+                out = tmp_path / f"blas{blas_threads}-workers{'-'.join(flags[1:]) or 'default'}"
+                argv = ["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out), *flags]
+                result = run_in_subprocess(argv, blas_threads)
+                assert result.returncode == 0, result.stderr
+                outputs.add(((out / "rankings.csv").read_bytes(), (out / "summary.json").read_bytes()))
+                assert sorted(p.name for p in out.iterdir()) == ["rankings.csv", "summary.json"]
+        assert len(outputs) == 1
+
+
+# --workers 1, 2 and 8, and the default of one worker per CPU.
+WORKER_FLAGS = (["--workers", "1"], ["--workers", "2"], ["--workers", "8"], [])
+
+
+def run_in_subprocess(argv, blas_threads):
+    """`sfr` with `argv` in a fresh interpreter whose BLAS runs that many threads."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
+        "OMP_NUM_THREADS": str(blas_threads),
+        "MKL_NUM_THREADS": str(blas_threads),
+    }
+    code = "import sys; from sfr.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 35, 100, 200])
+@pytest.mark.parametrize("workers", [1, 2, 8, 10**9])
+def test_probe_chunks_are_contiguous_balanced_and_one_per_started_block(count, workers):
+    chunks = cli.probe_chunks(count, workers)
+    assert [i for chunk in chunks for i in chunk] == list(range(count))
+    assert all(chunk.step == 1 and len(chunk) > 0 for chunk in chunks)
+    sizes = [len(chunk) for chunk in chunks]
+    assert max(sizes) - min(sizes) <= 1
+    assert len(chunks) == min(workers, math.ceil(count / GALLERY_BLOCK))
+
+
+def test_a_match_of_one_probe_block_forks_nothing(tmp_path, monkeypatch):
+    # At most one chunk per started block of 32 probes: the benchmark's
+    # 8-probe warm-up match runs in-process at any --workers.
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    rng = np.random.default_rng(47)
+    gallery, probes = make_set(tmp_path, rng, "gal", 4, 2), make_set(tmp_path, rng, "prb", 4, 2)
+    argv = ["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(tmp_path / "o")]
+    assert main(argv + ["--workers", "8"]) == 0
 
 
 class TestMatchBlocks:
     """`sfr match` builds and scores its gallery in blocks of 32 entries."""
 
-    def match(self, tmp_path, gallery, probes):
+    def match(self, tmp_path, gallery, probes, *flags):
         out = tmp_path / "out"
-        return main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out)]), out
+        return main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(out), *flags]), out
 
-    def test_dim_mismatch_in_a_later_block_exit_3(self, tmp_path, capsys):
+    def check_fault(self, tmp_path, capsys, gallery, probes, workers, code, message, leftovers):
+        """The match exits `code` with `message` as its whole stderr, leaves
+        exactly `leftovers` in the output directory (None: not created) and
+        no child process."""
+        rc, out = self.match(tmp_path, gallery, probes, "--workers", workers)
+        assert (rc, capsys.readouterr().err) == (code, f"error: {message}\n")
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == leftovers
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_dim_mismatch_in_a_later_block_exit_3(self, tmp_path, capsys, workers):
         rng = np.random.default_rng(70)
         gallery = make_set(tmp_path, rng, "gal", 40, 1)
         write_map(tmp_path / "gal" / "gal_35_0.sfrf", rng, c=4)
-        rc, out = self.match(tmp_path, gallery, make_set(tmp_path, rng, "prb", 3, 1))
-        assert rc == 3
-        assert "entry gal35_0" in capsys.readouterr().err
-        assert not (out / "rankings.csv").exists()
+        probes = make_set(tmp_path, rng, "prb", 35, 2)
+        message = "entry gal35_0: feature dim differs from gallery dim 6"
+        self.check_fault(tmp_path, capsys, gallery, probes, workers, 3, message, None)
 
-    def test_damaged_map_in_a_later_block_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_damaged_map_in_a_later_block_exit_2(self, tmp_path, capsys, workers):
         rng = np.random.default_rng(71)
         gallery = make_set(tmp_path, rng, "gal", 40, 1)
         damaged = tmp_path / "gal" / "gal_36_0.sfrf"
         damaged.write_bytes(damaged.read_bytes()[:-4])
-        rc, out = self.match(tmp_path, gallery, make_set(tmp_path, rng, "prb", 3, 1))
-        assert rc == 2
-        assert "gal_36_0.sfrf" in capsys.readouterr().err
-        assert not (out / "rankings.csv").exists()
+        probes = make_set(tmp_path, rng, "prb", 35, 2)
+        message = f"{damaged.resolve()}: payload holds 71 values, header declares 72"
+        self.check_fault(tmp_path, capsys, gallery, probes, workers, 2, message, None)
+
+    # 70 probes: at --workers 2, probes 0-34 are ranked in this process and
+    # 35-69 in a forked worker; at --workers 1, probes 32-63 are one block.
+    PROBE_FAULTS = {
+        "damaged-in-worker": ({50: "damaged"}, 50),
+        "wrong-dim-in-worker": ({60: "wrong-dim"}, 60),
+        "damaged-here-wrong-dim-in-worker": ({33: "damaged", 40: "wrong-dim"}, 33),
+        "wrong-dim-here-damaged-in-worker": ({33: "wrong-dim", 40: "damaged"}, 33),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", PROBE_FAULTS)
+    def test_first_faulty_probe_decides_at_any_worker_count(self, tmp_path, capsys, workers, case):
+        # The first faulty probe in manifest order is reported, even where a
+        # later one in the same 32-probe block is damaged, and no
+        # rankings.csv or part file is left.
+        faults, first = self.PROBE_FAULTS[case]
+        rng = np.random.default_rng(74)
+        gallery = make_set(tmp_path, rng, "gal", 35, 1)
+        probes = make_set(tmp_path, rng, "prb", 35, 2)
+        paths = {}
+        for index, fault in faults.items():
+            path = (tmp_path / "prb" / f"prb_{index // 2}_{index % 2}.sfrf").resolve()
+            if fault == "damaged":
+                path.write_bytes(path.read_bytes()[:-4])
+            else:
+                write_map(path, rng, c=4)
+            paths[index] = path
+        if faults[first] == "damaged":
+            code, message = 2, f"{paths[first]}: payload holds 71 values, header declares 72"
+        else:
+            code, message = 3, f"{paths[first]}: feature dim 4 != gallery dim 6"
+        self.check_fault(tmp_path, capsys, gallery, probes, workers, code, message, [])
 
     def test_pooling_gets_at_most_one_block_of_maps_per_call(self, tmp_path, monkeypatch):
         # pool_feature_maps stacks every map it is given, so the loader hands
         # it one block at a time: the 70 gallery maps in two full blocks and
         # a partial one, then the 40 probes in one full block and a partial one.
+        # The monkeypatch sees only this process's calls, so the probes are
+        # ranked here at --workers 1, not in a forked worker.
         rng = np.random.default_rng(73)
         gallery = make_set(tmp_path, rng, "gal", 70, 1)
         probes = make_set(tmp_path, rng, "prb", 40, 1)
@@ -194,7 +289,7 @@ class TestMatchBlocks:
             return pool_feature_maps(fmaps, *args)
 
         monkeypatch.setattr(cli, "pool_feature_maps", counted)
-        assert self.match(tmp_path, gallery, probes)[0] == 0
+        assert self.match(tmp_path, gallery, probes, "--workers", "1")[0] == 0
         assert sizes == [32, 32, 6, 32, 8]
 
     def test_peak_memory_grows_by_the_scoring_operators(self, tmp_path):

@@ -16,6 +16,7 @@ from sfr.retrieval import (
     evaluate,
     load_manifest,
     match_probe,
+    match_probes,
     write_cmc_csv,
     write_manifest,
     write_summary_json,
@@ -105,6 +106,22 @@ class TestGalleryBlocks:
             if i < n:
                 (_, dual, _), = ReconstructionScorer([entries[f"e{i}"][1]], BETA)._groups
                 assert dual is False
+
+    def test_a_probe_ranked_with_others_has_the_bits_it_has_alone(self):
+        # Twelve probes of three shapes, scored together: each shape's stack
+        # is one product per gallery block, whose every slice is the pair's.
+        # Two more are entries' own dictionaries (M = 4), which their own
+        # entries score in the direct form.
+        rng = np.random.default_rng(69)
+        entries = block_entries(rng, 40)
+        gallery = build_gallery(entries.items(), 0.7, BETA)
+        probes = [(f"p{i}", random_pooled(rng, count=(3, 5, 8)[i % 3])) for i in range(12)]
+        probes += [("own0", entries["e0"]), ("own3", entries["e3"])]
+        for (probe_id, probe), ranking in zip(probes, match_probes(probes, gallery)):
+            alone = match_probe(probe, gallery, probe_id)
+            assert (ranking.probe_id, ranking.entry_ids) == (alone.probe_id, alone.entry_ids)
+            for name in ("global_dist", "sfr_dist", "fused"):
+                np.testing.assert_array_equal(getattr(ranking, name), getattr(alone, name))
 
     def test_dim_mismatch_in_a_later_block(self):
         rng = np.random.default_rng(66)

@@ -31,6 +31,10 @@ Each command gets a directory holding its output files, `stdout.txt`,
 - `match-small-dict-seed1/raw-beta-1e-30/match`: `match --beta 1e-30
   --no-normalize` on those inputs, which fails factorization as the demo
   above does (exit 3);
+- `match-small-dict-seed1/workers-1/match` and `.../workers-8/match`: the
+  normalized `match` at `--workers 1` (in-process) and `--workers 8` (four
+  chunks, three of them in forked workers). The tool exits 1 if the two
+  differ in any byte, so one run judges the fork path too;
 - `dual-fallback/`: a small seeded set whose raw dictionaries leave the dual
   form of the reconstruction score for the primal one, and `match` on it
   with and without `--no-normalize`. Its six gallery maps are 32-channel
@@ -184,8 +188,26 @@ def main(argv: list[str]) -> int:
         "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
         "--out", str(singular), "--beta", "1e-30", "--no-normalize",
     ])
+    workers = {}
+    for count in ("1", "8"):
+        workers[count] = out / "match-small-dict-seed1" / f"workers-{count}" / "match"
+        run(workers[count], [
+            "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
+            "--out", str(workers[count]), "--workers", count,
+        ])
     snapshot_dual_fallback(out / "dual-fallback")
     snapshot_mixed_blocks(out / "mixed-blocks")
+    contents = {
+        count: {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+        for count, root in workers.items()
+    }
+    differing = sorted(
+        name for name in contents["1"].keys() | contents["8"].keys()
+        if contents["1"].get(name) != contents["8"].get(name)
+    )
+    if differing:
+        print(f"error: --workers 1 and --workers 8 differ in {', '.join(differing)}", file=sys.stderr)
+        return 1
     return 0
 
 
