@@ -29,7 +29,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .encoder import encode, init_params, save_params
+from .encoder import EncoderParams, encode, init_params, save_params
 from .errors import FactorizationError, FormatError, MismatchError
 from .features import PyramidSpec, load_feature_map, pool_feature_maps, save_pooled, usable_kernels
 from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
@@ -54,9 +54,11 @@ DEMO_DATA = dict(base_shape=(16, 12), cells=(4, 3), noise=0.01, jitter=0.3, min_
 # The CPUs this process may run on: the default of --workers.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # `sfr match` forks its probe workers, so that they inherit the built gallery
-# copy-on-write instead of building or unpickling it again (OpenBLAS shuts its
-# thread pool down at a fork and restarts it on demand). Fork is used on Linux
-# only; elsewhere every chunk is ranked in-process.
+# copy-on-write instead of building or unpickling it again, and `sfr
+# train-demo` its monitor worker, which inherits the monitor batch's images
+# (OpenBLAS shuts its thread pool down at a fork and restarts it on demand).
+# Fork is used on Linux only; elsewhere every chunk is ranked, and every
+# monitor loss computed, in-process.
 CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
 
 
@@ -227,7 +229,8 @@ def probe_chunks(count: int, workers: int) -> list[range]:
 
 
 def _fork_worker(work) -> tuple[int, BinaryIO]:
-    """Run work() in a forked child; returns its pid and the read end of a
+    """Run work() in a forked child, a probe worker of `sfr match` or the
+    monitor worker of `sfr train-demo`; returns its pid and the read end of a
     pipe that carries the pickled result, or the exception work() raised.
     The child leaves through os._exit, so none of the parent's cleanup,
     buffered output or callers run in it; a child that cannot send its
@@ -252,14 +255,14 @@ def _fork_worker(work) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _collect(pid: int, pipe: BinaryIO, reaped: set[int]):
-    """The result that a forked worker sent through `pipe`, read to its end;
-    the worker is reaped, and its pid added to `reaped`."""
+def _collect(role: str, pid: int, pipe: BinaryIO, reaped: set[int]):
+    """The result that a forked `role` worker sent through `pipe`, read to
+    its end; the worker is reaped, and its pid added to `reaped`."""
     payload = pipe.read()
     _, status = os.waitpid(pid, 0)
     reaped.add(pid)
     if not payload:
-        raise ChildProcessError(f"probe worker {pid} exited with status {status} and no result")
+        raise ChildProcessError(f"{role} worker {pid} exited with status {status} and no result")
     return pickle.loads(payload)
 
 
@@ -299,7 +302,7 @@ def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig,
         _write_rankings_csv(parts[0], rankings)
         with open(parts[0], "a", encoding="utf-8", newline="") as fh:
             for (pid, pipe), part in zip(workers, parts[1:]):
-                result = _collect(pid, pipe, reaped)
+                result = _collect("probe", pid, pipe, reaped)
                 if isinstance(result, BaseException):
                     raise result
                 rankings += result
@@ -431,11 +434,93 @@ def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
     return evaluate(rankings, truth, subject_of).rank_k(1)
 
 
+def _monitor_losses(inbox: BinaryIO, monitor_loss) -> list[float]:
+    """The monitor worker's loop: monitor_loss of each EncoderParams pickled
+    into `inbox`, in order, until the inbox ends, which is the parent's stop
+    sentinel (the parent closes it, or dies). After a failure the rest of
+    the inbox is still read, so that the parent never blocks on a full pipe
+    or writes into a closed one; the first exception is raised at the end."""
+    losses, error = [], None
+    while True:
+        try:
+            params = pickle.load(inbox)
+        except EOFError:
+            break
+        if error is None:
+            try:
+                losses.append(monitor_loss(params))
+            except Exception as exc:
+                error = exc
+    if error is not None:
+        raise error
+    return losses
+
+
+def _train_with_monitor_worker(train, monitor_loss):
+    """train(send) run here while a forked worker computes monitor_loss of
+    each EncoderParams that train sends, in order; returns train's result and
+    the list of monitor losses.
+
+    The worker's exception, if it has one, is raised first: train sends an
+    epoch's parameters before it steps, so the worker fails at an epoch no
+    later than train's own failure, as the inline monitor would. Otherwise
+    train's exception is raised, once the worker has been collected. The
+    worker is reaped before this returns or raises."""
+    inbox_fd, send_fd = os.pipe()
+
+    def work() -> list[float]:
+        os.close(send_fd)  # the child holds no write end, so it sees EOF if the parent dies
+        with os.fdopen(inbox_fd, "rb") as inbox:
+            return _monitor_losses(inbox, monitor_loss)
+
+    try:
+        pid, results = _fork_worker(work)
+    except BaseException:
+        os.close(send_fd)
+        raise
+    finally:
+        os.close(inbox_fd)
+    # Unbuffered, so that closing it never writes: a buffered writer flushes
+    # at close, which could block on, or fail against, a worker being killed.
+    send_pipe = os.fdopen(send_fd, "wb", buffering=0)
+
+    def send(params: EncoderParams) -> None:
+        payload = memoryview(pickle.dumps(params))
+        while payload:  # a raw write may take only part of it
+            payload = payload[send_pipe.write(payload):]
+
+    reaped: set[int] = set()
+    try:
+        error = None
+        try:
+            trained = train(send)
+        except Exception as exc:
+            error = exc
+        send_pipe.close()
+        losses = _collect("monitor", pid, results, reaped)
+        if isinstance(losses, BaseException):
+            raise losses
+        if error is not None:
+            raise error
+        return trained, losses
+    finally:
+        send_pipe.close()
+        results.close()
+        if pid not in reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def cmd_train_demo(args, cfg: RunConfig) -> int:
     """Seeded end-to-end run: train the toy encoder on synthetic identities,
     log the per-epoch loss of a fixed reference batch, and evaluate held-out
     rank-1. The reference batch makes the logged curve deterministic and
-    exactly flat when the learning rate is zero."""
+    exactly flat when the learning rate is zero.
+
+    The reference (monitor) loss of an epoch depends only on the parameters
+    the epoch starts from and never feeds back into training, so on Linux at
+    --workers 2 or more a forked worker computes it while this process
+    steps; the bits are the same at any worker count."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train_per_id = max(cfg.k, 10)
@@ -447,21 +532,36 @@ def cmd_train_demo(args, cfg: RunConfig) -> int:
     monitor_picks = [
         (label, img) for label, imgs in sorted(train_pool.items()) for img in imgs[:2]
     ]
-
-    params = init_params(DEMO_LAYERS, cfg.seed)
     pyramid = cfg.pyramid()
     p_eff = min(cfg.p, DEMO_IDENTITIES)
-    rows = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate(epoch)
+
+    def monitor_loss(params: EncoderParams) -> float:
         monitor = build_batch(monitor_picks, params, pyramid=pyramid, normalize=cfg.normalize)
-        monitor_loss = sfr_triplet_loss(monitor, cfg.beta, cfg.margin)
-        # fresh identity/view draw per epoch, deterministic in (seed, epoch)
-        rng = np.random.default_rng((cfg.seed, epoch))
-        picks = sample_batch(train_pool, p_eff, cfg.k, rng)
-        batch = build_batch(picks, params, pyramid=pyramid, normalize=cfg.normalize)
-        params, report = training_step(batch, cfg.beta, cfg.margin, lr)
-        rows.append((epoch, monitor_loss.total_loss, report.total_loss, report.active_triplets, lr))
+        return sfr_triplet_loss(monitor, cfg.beta, cfg.margin).total_loss
+
+    def train(monitor) -> tuple[EncoderParams, list[tuple[float, int, float]]]:
+        """The trained parameters and each epoch's (batch loss, active
+        triplets, learning rate); monitor(params) is called with the
+        parameters each epoch starts from, before it steps."""
+        params = init_params(DEMO_LAYERS, cfg.seed)
+        steps = []
+        for epoch in range(cfg.epochs):
+            monitor(params)
+            lr = cfg.learning_rate(epoch)
+            # fresh identity/view draw per epoch, deterministic in (seed, epoch)
+            rng = np.random.default_rng((cfg.seed, epoch))
+            picks = sample_batch(train_pool, p_eff, cfg.k, rng)
+            batch = build_batch(picks, params, pyramid=pyramid, normalize=cfg.normalize)
+            params, report = training_step(batch, cfg.beta, cfg.margin, lr)
+            steps.append((report.total_loss, report.active_triplets, lr))
+        return params, steps
+
+    if CAN_FORK and cfg.workers > 1 and cfg.epochs > 0:
+        (params, steps), losses = _train_with_monitor_worker(train, monitor_loss)
+    else:
+        losses = []
+        params, steps = train(lambda params: losses.append(monitor_loss(params)))
+    rows = [(epoch, loss, *step) for epoch, (loss, step) in enumerate(zip(losses, steps, strict=True))]
 
     with open(out / "loss.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("epoch,loss,batch_loss,active_triplets,learning_rate\n")

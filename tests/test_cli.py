@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, outputs, determinism."""
 
+import io
+import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 from sfr import cli
 from sfr.cli import RunConfig, main
+from sfr.errors import FactorizationError
 from sfr.features import SpatialFeatureMap, load_pooled, pool_feature_maps, save_feature_map
 from sfr.retrieval import GALLERY_BLOCK, ManifestEntry, write_manifest
 
@@ -492,6 +497,118 @@ class TestTrainDemo:
         main(["train-demo", "--out", str(b), "--epochs", "3"])
         assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
         assert (a / "encoder.sfrf").read_bytes() == (b / "encoder.sfrf").read_bytes()
+
+    @pytest.mark.parametrize("flags", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+    def test_workers_byte_identical(self, tmp_path, flags):
+        # At --workers 2 and above a forked worker computes the monitor loss
+        # that loss.csv logs; at --workers 1 this process does. Each run is a
+        # fresh interpreter with one and with two BLAS threads, two at a time.
+        runs = [(blas_threads, workers) for blas_threads in (1, 2) for workers in WORKER_FLAGS]
+
+        def run(blas_threads, workers):
+            out = tmp_path / f"blas{blas_threads}-workers{'-'.join(workers[1:]) or 'default'}"
+            result = run_in_subprocess(["train-demo", "--out", str(out), "--epochs", "6", *workers, *flags], blas_threads)
+            assert sorted(p.name for p in out.iterdir()) == ["encoder.sfrf", "loss.csv"]
+            files = ((out / "loss.csv").read_bytes(), (out / "encoder.sfrf").read_bytes())
+            return result.returncode, result.stdout, result.stderr, files
+
+        with ThreadPoolExecutor(2) as pool:
+            outputs = set(pool.map(lambda run_args: run(*run_args), runs))
+        assert len(outputs) == 1
+        ((returncode, stdout, _, (loss_csv, _)),) = outputs
+        assert returncode == 4 and stdout.startswith("trained 6 steps;")
+        assert len(loss_csv.decode().splitlines()) == 7
+
+    @pytest.mark.parametrize(("workers", "epochs", "forks"), [("1", "3", 0), ("2", "0", 0), ("2", "3", 1), ("8", "3", 1)])
+    def test_one_monitor_worker_from_workers_2(self, tmp_path, monkeypatch, workers, epochs, forks):
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
+        main(["train-demo", "--out", str(tmp_path / "demo"), "--epochs", epochs, "--workers", workers])
+        assert len(pids) == (forks if cli.CAN_FORK else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # (epoch whose monitor loss fails, epoch whose step fails); the monitor of
+    # an epoch comes before its step, so the earlier of the two is reported,
+    # and the monitor's on a tie.
+    FAULTS = {
+        "monitor-first": (1, 2),
+        "same-epoch": (2, 2),
+        "step-first": (2, 1),
+        "monitor-only": (3, None),
+        "step-only": (None, 0),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", FAULTS)
+    def test_the_first_fault_in_epoch_order_decides(self, tmp_path, monkeypatch, capsys, workers, case):
+        # The patches are inherited by a forked monitor worker, whose call
+        # count starts at zero: it makes no monitor call before the fork.
+        monitor_epoch, step_epoch = self.FAULTS[case]
+
+        def failing_at(epoch, fn, exc):
+            calls = itertools.count()
+
+            def patched(*args):
+                if next(calls) == epoch:
+                    raise exc
+                return fn(*args)
+
+            return patched
+
+        monitor_fault = FactorizationError(f"monitor fault at epoch {monitor_epoch}")
+        step_fault = ArithmeticError(f"step fault at epoch {step_epoch}")
+        monkeypatch.setattr(cli, "sfr_triplet_loss", failing_at(monitor_epoch, cli.sfr_triplet_loss, monitor_fault))
+        monkeypatch.setattr(cli, "training_step", failing_at(step_epoch, cli.training_step, step_fault))
+        out = tmp_path / "demo"
+        rc = main(["train-demo", "--out", str(out), "--epochs", "4", "--workers", workers])
+        monitor_first = monitor_epoch is not None and (step_epoch is None or monitor_epoch <= step_epoch)
+        expected = (3, f"error: {monitor_fault}\n") if monitor_first else (4, f"error: {step_fault}\n")
+        assert (rc, capsys.readouterr().err) == expected
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_monitor_loop_reads_its_inbox_to_the_end_after_a_failure(self):
+        # Were it to stop reading, the parent's next send could block on a
+        # full pipe or fail against a closed one.
+        inbox = io.BytesIO(b"".join(pickle.dumps(epoch) for epoch in range(5)))
+        seen = []
+
+        def monitor_loss(epoch):
+            seen.append(epoch)
+            if epoch >= 1:
+                raise FactorizationError(f"fault at epoch {epoch}")
+            return 0.5
+
+        with pytest.raises(FactorizationError, match="fault at epoch 1"):
+            cli._monitor_losses(inbox, monitor_loss)
+        assert seen == [0, 1]
+        assert inbox.read() == b""
+        assert cli._monitor_losses(io.BytesIO(pickle.dumps(2.0) * 3), lambda x: x / 2) == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_singular_gram_exit_3_at_any_worker_count(self, tmp_path, capsys, workers):
+        # At --workers 2 the worker's monitor batch and this process's first
+        # training batch both fail to factor at epoch 0; the monitor's error,
+        # the one reported in-process, must be the one reported.
+        out = tmp_path / "demo"
+        rc = main(["train-demo", "--out", str(out), "--epochs", "2", "--beta", "1e-30", "--workers", workers])
+        message = (
+            "error: gram matrix not positive definite or numerically singular "
+            "(beta=1e-30, cond~7.657e+16); use a larger beta\n"
+        )
+        assert (rc, capsys.readouterr().err) == (3, message)
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfigHandling:

@@ -18,6 +18,11 @@ Each command gets a directory holding its output files, `stdout.txt`,
 - `train-demo/seed7-2-epochs-beta-1e-30`: 2 epochs at `--beta 1e-30`, below
   the rounding of the Gram matrices, so a dictionary's Cholesky factorization
   fails: exit 3 with the condition estimate on stderr;
+- `train-demo/seed7-workers-1` and
+  `train-demo/seed7-2-epochs-beta-1e-30-workers-1`: the same two runs at
+  `--workers 1`, where this process computes the monitor loss that the
+  default's forked worker computes (on a host with more than one CPU). The
+  tool exits 1 if either differs in any byte from its default-worker twin;
 - `verify`: the oracle suite's JSON report;
 - `verify-verbose`: `verify --verbose`, which adds the per-case error table
   on stderr;
@@ -171,11 +176,13 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
     demo = out / "train-demo"
-    run(demo / "seed7", ["train-demo", "--out", str(demo / "seed7"), "--seed", "7"])
+    twins = []  # (default-worker run, --workers 1 run), which must match in every byte
+    for name, flags in (("seed7", []), ("seed7-2-epochs-beta-1e-30", ["--epochs", "2", "--beta", "1e-30"])):
+        twins.append((demo / name, demo / f"{name}-workers-1"))
+        for path, workers in zip(twins[-1], ([], ["--workers", "1"])):
+            run(path, ["train-demo", "--out", str(path), "--seed", "7", *flags, *workers])
     raw = demo / "seed7-8-epochs-raw"
     run(raw, ["train-demo", "--out", str(raw), "--seed", "7", "--epochs", "8", "--no-normalize"])
-    singular = demo / "seed7-2-epochs-beta-1e-30"
-    run(singular, ["train-demo", "--out", str(singular), "--seed", "7", "--epochs", "2", "--beta", "1e-30"])
     run(out / "verify", ["verify"])
     run(out / "verify-verbose", ["verify", "--verbose"])
     run(out / "verify-inject-fault", ["verify", "--inject-fault"])
@@ -188,27 +195,29 @@ def main(argv: list[str]) -> int:
         "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
         "--out", str(singular), "--beta", "1e-30", "--no-normalize",
     ])
-    workers = {}
-    for count in ("1", "8"):
-        workers[count] = out / "match-small-dict-seed1" / f"workers-{count}" / "match"
-        run(workers[count], [
+    match_workers = [out / "match-small-dict-seed1" / f"workers-{count}" / "match" for count in ("1", "8")]
+    for path, count in zip(match_workers, ("1", "8")):
+        run(path, [
             "match", "--gallery", str(inputs / "gallery.jsonl"), "--probes", str(inputs / "probes.jsonl"),
-            "--out", str(workers[count]), "--workers", count,
+            "--out", str(path), "--workers", count,
         ])
+    twins.append(tuple(match_workers))
     snapshot_dual_fallback(out / "dual-fallback")
     snapshot_mixed_blocks(out / "mixed-blocks")
-    contents = {
-        count: {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
-        for count, root in workers.items()
-    }
-    differing = sorted(
-        name for name in contents["1"].keys() | contents["8"].keys()
-        if contents["1"].get(name) != contents["8"].get(name)
-    )
-    if differing:
-        print(f"error: --workers 1 and --workers 8 differ in {', '.join(differing)}", file=sys.stderr)
-        return 1
-    return 0
+    status = 0
+    for a, b in twins:
+        contents = [
+            {path.relative_to(root).as_posix(): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+            for root in (a, b)
+        ]
+        differing = sorted(
+            name for name in contents[0].keys() | contents[1].keys() if contents[0].get(name) != contents[1].get(name)
+        )
+        if differing:
+            names = ", ".join(differing)
+            print(f"error: {a.relative_to(out)} and {b.relative_to(out)} differ in {names}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
