@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, MismatchError
 from .features import MAGIC, VERSION, SpatialFeatureMap, _freeze
@@ -114,12 +114,23 @@ def init_params(layer_specs: Sequence[LayerSpec], seed: int) -> EncoderParams:
     return EncoderParams(tuple(layers))
 
 
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    # Every k x k window of a (C, H, W) grid as one read-only view, with the
+    # strides of x: [c, di, dj, i, j] is x[c, i + di, j + dj] (im2col).
+    c, height, width = x.shape
+    sc, sh, sw = x.strides
+    return as_strided(x, (c, k, k, height - k + 1, width - k + 1), (sc, sh, sw, sh, sw), writeable=False)
+
+
 def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # out[o, i, j] = sum over c, di, dj of kernel[o, c, di, dj] * x[c, i + di, j + dj]:
-    # every k x k window of x at once (im2col), contracted with the kernel.
-    k = kernel.shape[2]
-    windows = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, h, w, k, k)
-    return np.tensordot(kernel, windows, axes=([1, 2, 3], [0, 3, 4]))
+    # the windows as one (C k k, h w) matrix, contracted with the kernel in
+    # one np.dot, the call tensordot made on these operands; a matmul (@)
+    # rounds some one-wide outputs differently.
+    out_c, _, k, _ = kernel.shape
+    windows = _windows(x, k)
+    h, w = windows.shape[3:]
+    return np.dot(kernel.reshape(out_c, -1), windows.reshape(-1, h * w)).reshape(out_c, h, w)
 
 
 def conv2d_valid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -219,12 +230,13 @@ def encode_backward(
         if layer.downsample:
             g = _downsample_backward(g, mask.shape)
         g = g * mask
-        k = layer.kernel_size
-        kernel_grads = np.empty((len(g), *layer.kernel.shape))
+        k, out_c = layer.kernel_size, layer.out_channels
+        kernel_grads = np.empty((len(g), out_c, layer.kernel[0].size))
         for j, (gs, xs) in enumerate(zip(g, forward.inputs[i])):
-            windows = sliding_window_view(xs, (k, k), axis=(1, 2))
-            kernel_grads[j] = np.tensordot(gs, windows, axes=([1, 2], [1, 2]))
-        grads[i] = LayerGradients(kernel_grads, g.sum(axis=(2, 3)))
+            # The windows as one (h w, C k k) matrix: one product per sample.
+            windows = _windows(xs, k).transpose(3, 4, 0, 1, 2)
+            kernel_grads[j] = np.dot(gs.reshape(out_c, -1), windows.reshape(gs[0].size, -1))
+        grads[i] = LayerGradients(kernel_grads.reshape(len(g), *layer.kernel.shape), g.sum(axis=(2, 3)))
         if i > 0:  # the image needs no gradient
             # Full correlation with the flipped, channel-swapped kernel: the
             # transpose of the forward's valid correlation.

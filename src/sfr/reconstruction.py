@@ -234,13 +234,19 @@ def residual_distances(
     any column below the floor, as a probe made of the dictionary's own
     columns has, is scored again whole in the direct form
     x - E (R^T R)^{-1} E^T x, whose relative error is about g ||x_n|| / r_n,
-    below the Gram form's there. The dual form is applied one probe at a
-    time: stacked, it was slower.
+    below the Gram form's there. A group's flagged (probe, dictionary) pairs
+    are rescored in stacked products over slices of at most as many pairs
+    as the group has dictionaries, so however many pairs are flagged, the
+    rescore holds per dictionary of the group at most two residual-sized
+    buffers (the product and the copy of the pair's probe) and a copy of
+    one operator. The dual form is applied one probe at a time: stacked, it
+    was slower.
     """
     # Each residual is formed transposed, one row per probe column, so that
     # each column norm reduces a contiguous row.
     out = np.empty((len(probes), size))
     xt = np.stack([x.columns.T for x in probes])
+    squares = None  # the probes' squared column norms, once a primal group needs them
     for positions, dual, operators in groups:
         if dual:
             for i, x in enumerate(probes):
@@ -252,17 +258,20 @@ def residual_distances(
             continue
         dim = xt.shape[2]
         e, gram_inverse = operators[:, :dim], operators[:, dim:]
-        squares = np.square(xt).sum(axis=2)[:, None, :]
+        if squares is None:
+            squares = np.square(xt).sum(axis=2)[:, None, :]
         projected = xt[:, None] @ e[None]
         with np.errstate(invalid="ignore"):  # inf - inf: raised below as non-finite
             r2 = squares - np.square(projected).sum(axis=3)
-        rescore = (r2 < GRAM_FORM_FLOOR * squares).any(axis=2)
-        for i in np.flatnonzero(rescore.any(axis=1)):
-            # This probe's flagged pairs, stacked: at most one residual-sized
-            # buffer per dictionary of the group, as the dual form holds.
-            k = np.flatnonzero(rescore[i])
-            residual_t = xt[i] - (projected[i, k] @ gram_inverse[k]) @ e[k].transpose(0, 2, 1)
-            r2[i, k] = np.square(residual_t).sum(axis=2)
+        flagged_probes, flagged_dicts = np.nonzero((r2 < GRAM_FORM_FLOOR * squares).any(axis=2))
+        for start in range(0, len(flagged_probes), len(positions)):
+            # Two residual-sized buffers per pair: the product, which takes
+            # the difference and its square in place, and the probe's copy.
+            i = flagged_probes[start:start + len(positions)]
+            k = flagged_dicts[start:start + len(positions)]
+            residual_t = (projected[i, k] @ gram_inverse[k]) @ e[k].transpose(0, 2, 1)
+            np.subtract(xt[i], residual_t, out=residual_t)
+            r2[i, k] = np.square(residual_t, out=residual_t).sum(axis=2)
         out[:, positions] = np.sqrt(r2).mean(axis=2)
     if not np.isfinite(out).all():
         raise ValueError("reconstruction distances contain non-finite values")

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import correlate
 
 from sfr.encoder import (
     ConvLayer,
     EncoderParams,
+    ForwardPass,
     ToyImage,
     conv2d_valid,
     encode,
@@ -16,6 +18,8 @@ from sfr.encoder import (
     init_params,
     load_params,
     save_params,
+    _correlate,
+    _downsample_backward,
 )
 from sfr.errors import FormatError, MismatchError
 from sfr.oracle import finite_difference, relative_error
@@ -238,6 +242,98 @@ class TestBackward:
                     np.testing.assert_array_equal(g.bias[j], a.bias[0])
 
         check()
+
+
+def reference_correlate(x, kernel):
+    # The windowed correlation as sliding_window_view and tensordot form it.
+    k = kernel.shape[2]
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))
+    return np.tensordot(kernel, windows, axes=([1, 2, 3], [0, 3, 4]))
+
+
+def reference_kernel_gradient(g, x, k):
+    # One sample's kernel gradient as sliding_window_view and tensordot form it.
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))
+    return np.tensordot(g, windows, axes=([1, 2], [1, 2]))
+
+
+def reference_backward(forward, params, upstream):
+    """encode_backward with the reference correlation and kernel gradient."""
+    g = upstream
+    grads = [None] * len(params.layers)
+    for i in reversed(range(len(params.layers))):
+        layer, mask, k = params.layers[i], forward.relu_masks[i], params.layers[i].kernel_size
+        if layer.downsample:
+            g = _downsample_backward(g, mask.shape)
+        g = g * mask
+        kernels = np.stack([reference_kernel_gradient(gs, xs, k) for gs, xs in zip(g, forward.inputs[i])])
+        grads[i] = (kernels, g.sum(axis=(2, 3)))
+        if i > 0:
+            flipped = layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            g = np.stack([reference_correlate(np.pad(gs, ((0, 0), (k - 1, k - 1), (k - 1, k - 1))), flipped) for gs in g])
+    return grads
+
+
+def laid_out(values, layout):
+    """values (C, H, W) as a contiguous array, a strided view into a larger
+    array, or a transposed view: the same numbers with other strides."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "strided":
+        c, h, w = values.shape
+        big = np.zeros((c, 2 * h, 3 * w))
+        big[:, 1::2, ::3] = values
+        return big[:, 1::2, ::3]
+    return np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+# (out_c, in_c, k, height, width): odd and even grids, and grids whose output
+# is one row or one column wide, where a matmul (`@`) of the same operands
+# rounds differently from np.dot on some inputs.
+IM2COL_CASES = [
+    (out_c, in_c, k, height, width)
+    for out_c in (1, 5)
+    for in_c in (1, 3)
+    for k in (1, 2, 7)
+    for height, width in ((7, 9), (8, 10), (9, 7), (8, 7), (1, 9))
+    if k <= min(height, width)
+]
+
+
+class TestIm2colBits:
+    """The strided im2col view and its one product per image give the bits
+    of the sliding_window_view and tensordot formulas."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    @pytest.mark.parametrize("out_c, in_c, k, height, width", IM2COL_CASES)
+    def test_correlation_and_kernel_gradient(self, out_c, in_c, k, height, width, layout):
+        rng = np.random.default_rng([out_c, in_c, k, height, width])
+        kernel = rng.standard_normal((out_c, in_c, k, k))
+        x = laid_out(rng.standard_normal((in_c, height, width)), layout)
+        if height > 1:  # a one-row grid is C-contiguous in either axis order
+            assert x.flags.c_contiguous == (layout == "contiguous")
+        np.testing.assert_array_equal(_correlate(x, kernel), reference_correlate(x, kernel))
+        # A one-layer, one-image pass whose stored input is x itself, strides
+        # included, and whose ReLU mask passes every unit.
+        out_shape = (1, out_c, height - k + 1, width - k + 1)
+        forward = ForwardPass(np.zeros(out_shape), (x[None],), (np.ones(out_shape, dtype=bool),))
+        params = EncoderParams((ConvLayer(kernel, np.zeros(out_c)),))
+        upstream = rng.standard_normal(out_shape)
+        (grads,) = encode_backward(forward, params, upstream)
+        np.testing.assert_array_equal(grads.kernel[0], reference_kernel_gradient(upstream[0], x, k))
+
+    def test_two_layer_backward(self):
+        # The second layer's input gradient runs the flipped, channel-swapped
+        # kernel through _correlate, so the first layer's gradients hold its bits.
+        rng = np.random.default_rng(27)
+        params = init_params(((3, 2, 3, True), (4, 3, 2, False)), 27)
+        images = [random_image(rng, 2, 13, 12) for _ in range(3)]
+        forward = encode_forward(images, params)
+        upstream = rng.standard_normal(forward.output.shape)
+        got = encode_backward(forward, params, upstream)
+        for layer, (kernels, biases) in zip(got, reference_backward(forward, params, upstream)):
+            np.testing.assert_array_equal(layer.kernel, kernels)
+            np.testing.assert_array_equal(layer.bias, biases)
 
 
 class TestCheckpoint:

@@ -1,5 +1,7 @@
 """Closed-form ridge solve, reconstruction distance, and frozen-coefficient gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -605,3 +607,57 @@ class TestAugmentedLeastSquaresJudge:
             assert gap <= judge_tolerance(x, y, beta, dual[entry_id]), (probe_id, entry_id, gap)
         # dual; one-product and direct below M; the dual shape scored primal
         assert {("dual", True), ("one-product", False), ("direct", False), ("one-product", True)} <= routes
+
+
+class TestRescoreSlices:
+    """A group's flagged pairs are rescored in the direct form in stacked
+    slices of at most as many pairs as the group has dictionaries."""
+
+    D, M, N, DICTS, BETA = 256, 3, 6, 6, 1e-7
+
+    def case(self):
+        # Probe p is one column of dictionary p, one of dictionary p + 1
+        # (mod 6) and four others: at beta = 1e-7 a dictionary's own column
+        # has a squared residual far below GRAM_FORM_FLOOR of its squared
+        # norm, so every probe is flagged against two dictionaries, 12 pairs
+        # in one primal group of 6 (d > M).
+        rng = np.random.default_rng(31)
+        ys = [unit_columns(rng, self.D, self.M) for _ in range(self.DICTS)]
+        probes = []
+        for p in range(self.DICTS):
+            own = [ys[(p + s) % self.DICTS].columns[:, [(p + s) % self.M]] for s in range(2)]
+            probes.append(fm(np.hstack(own + [unit_columns(rng, self.D, self.N - 2).columns])))
+        return ys, probes
+
+    def test_each_pair_has_the_bits_it_has_alone(self):
+        ys, probes = self.case()
+        scorer = ReconstructionScorer(ys, self.BETA)
+        ((_, dual, _),) = scorer._groups
+        routes = [[route(x.columns, y.columns, self.BETA, dual) for y in ys] for x in probes]
+        flagged = sum(row.count("direct") for row in routes)
+        assert flagged == 2 * len(probes) > len(ys)  # the slice loop runs twice
+        got = scorer.stacked_distances(probes)
+        for i, x in enumerate(probes):
+            for j, y in enumerate(ys):
+                assert got[i, j] == ReconstructionScorer([y], self.BETA).distances(x)[0], (i, j, routes[i][j])
+
+    def test_rescore_memory_is_bounded_by_the_group_not_the_pairs(self):
+        # In units of one residual (N x d float64): the call holds its
+        # transposed copy of the probes (one per probe) and the product of
+        # every probe with every operator (M / d each). A slice of the
+        # rescore holds two per pair (the product and the copy of its
+        # probe) and the copy of its operators (M / N each): the budget
+        # allows three per dictionary of the group, and numpy's ufunc buffer,
+        # which subtracting the differently laid out probe copy takes.
+        # Stacking all 12 flagged pairs at once needs 2.5 per pair, 30 in all.
+        ys, probes = self.case()
+        scorer = ReconstructionScorer(ys, self.BETA)
+        residual = self.N * self.D * 8
+        budget = (len(probes) * (1 + len(ys) * self.M / self.D) + 3 * len(ys)) * residual + np.getbufsize() * 8
+        tracemalloc.start()
+        try:
+            scorer.stacked_distances(probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (peak, budget)
