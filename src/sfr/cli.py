@@ -20,6 +20,7 @@ import json
 import math
 import os
 import pickle
+import select
 import shutil
 import signal
 import sys
@@ -437,23 +438,16 @@ def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
 def _monitor_losses(inbox: BinaryIO, monitor_loss) -> list[float]:
     """The monitor worker's loop: monitor_loss of each EncoderParams pickled
     into `inbox`, in order, until the inbox ends, which is the parent's stop
-    sentinel (the parent closes it, or dies). After a failure the rest of
-    the inbox is still read, so that the parent never blocks on a full pipe
-    or writes into a closed one; the first exception is raised at the end."""
-    losses, error = [], None
+    sentinel (the parent closes it, or dies). The first exception is raised
+    at once, so that the worker sends it and exits while the parent still
+    steps; the parent sees it before its next send."""
+    losses = []
     while True:
         try:
             params = pickle.load(inbox)
         except EOFError:
-            break
-        if error is None:
-            try:
-                losses.append(monitor_loss(params))
-            except Exception as exc:
-                error = exc
-    if error is not None:
-        raise error
-    return losses
+            return losses
+        losses.append(monitor_loss(params))
 
 
 def _train_with_monitor_worker(train, monitor_loss):
@@ -463,9 +457,11 @@ def _train_with_monitor_worker(train, monitor_loss):
 
     The worker's exception, if it has one, is raised first: train sends an
     epoch's parameters before it steps, so the worker fails at an epoch no
-    later than train's own failure, as the inline monitor would. Otherwise
-    train's exception is raised, once the worker has been collected. The
-    worker is reaped before this returns or raises."""
+    later than train's own failure, as the inline monitor would. The worker
+    sends its exception as soon as it has it, and send checks for it without
+    blocking before each epoch, so train stops stepping once it has arrived.
+    Otherwise train's exception is raised, once the worker has been
+    collected. The worker is reaped before this returns or raises."""
     inbox_fd, send_fd = os.pipe()
 
     def work() -> list[float]:
@@ -485,6 +481,11 @@ def _train_with_monitor_worker(train, monitor_loss):
     send_pipe = os.fdopen(send_fd, "wb", buffering=0)
 
     def send(params: EncoderParams) -> None:
+        # The worker writes its result only when it stops, which before the
+        # inbox is closed means that it failed: stop stepping. A worker that
+        # stops after this check closes the inbox, and the write below fails.
+        if select.select([results], [], [], 0)[0]:
+            raise BrokenPipeError("the monitor worker has stopped")
         payload = memoryview(pickle.dumps(params))
         while payload:  # a raw write may take only part of it
             payload = payload[send_pipe.write(payload):]

@@ -115,48 +115,71 @@ def init_params(layer_specs: Sequence[LayerSpec], seed: int) -> EncoderParams:
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    # Every k x k window of a (C, H, W) grid as one read-only view, with the
-    # strides of x: [c, di, dj, i, j] is x[c, i + di, j + dj] (im2col).
-    c, height, width = x.shape
-    sc, sh, sw = x.strides
-    return as_strided(x, (c, k, k, height - k + 1, width - k + 1), (sc, sh, sw, sh, sw), writeable=False)
+    # Every k x k window of a (..., C, H, W) stack as one read-only view, with
+    # the strides of x: [..., c, di, dj, i, j] is x[..., c, i + di, j + dj]
+    # (im2col).
+    *lead, c, height, width = x.shape
+    *lead_strides, sc, sh, sw = x.strides
+    shape = (*lead, c, k, k, height - k + 1, width - k + 1)
+    return as_strided(x, shape, (*lead_strides, sc, sh, sw, sh, sw), writeable=False)
 
 
 def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # out[o, i, j] = sum over c, di, dj of kernel[o, c, di, dj] * x[c, i + di, j + dj]:
-    # the windows as one (C k k, h w) matrix, contracted with the kernel in
-    # one np.dot, the call tensordot made on these operands; a matmul (@)
-    # rounds some one-wide outputs differently.
+    # out[..., o, i, j] = sum over c, di, dj of kernel[o, c, di, dj] * x[..., c, i + di, j + dj]:
+    # each grid's windows as one (C k k, h w) matrix, contracted with the
+    # kernel in one np.dot, the call tensordot made on these operands; a
+    # matmul (@) rounds some one-wide outputs differently, and one product
+    # over the whole stack would round differently too.
     out_c, _, k, _ = kernel.shape
     windows = _windows(x, k)
-    h, w = windows.shape[3:]
-    return np.dot(kernel.reshape(out_c, -1), windows.reshape(-1, h * w)).reshape(out_c, h, w)
+    lead, (h, w) = windows.shape[:-5], windows.shape[-2:]
+    matrix = kernel.reshape(out_c, -1)
+    out = np.empty((*lead, out_c, h * w))
+    for index in np.ndindex(*lead):
+        np.dot(matrix, windows[index].reshape(-1, h * w), out=out[index])
+    return out.reshape(*lead, out_c, h, w)
 
 
 def conv2d_valid(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid-padding convolution of a (C, H, W) grid with an (O, C, k, k) kernel."""
+    """Valid-padding convolution of a (..., C, H, W) stack of grids with an
+    (O, C, k, k) kernel; every grid gets the bits it gets alone."""
     _, in_c, k, _ = kernel.shape
-    if x.shape[0] != in_c:
-        raise MismatchError(f"input channels {x.shape[0]} != kernel in_c {in_c}")
-    if x.shape[1] < k or x.shape[2] < k:
-        raise ValueError(f"input {x.shape[1]}x{x.shape[2]} smaller than kernel {k}x{k}")
-    return _correlate(x, kernel) + bias[:, None, None]
+    if x.shape[-3] != in_c:
+        raise MismatchError(f"input channels {x.shape[-3]} != kernel in_c {in_c}")
+    if x.shape[-2] < k or x.shape[-1] < k:
+        raise ValueError(f"input {x.shape[-2]}x{x.shape[-1]} smaller than kernel {k}x{k}")
+    out = _correlate(x, kernel)
+    out += bias[:, None, None]
+    return out
+
+
+def _quarters(x: np.ndarray, h2: int, w2: int) -> tuple[np.ndarray, ...]:
+    # The top-left, top-right, bottom-left and bottom-right cells of each
+    # 2x2 block of a (..., H, W) grid, as strided views.
+    return tuple(x[..., di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1))
 
 
 def _downsample(x: np.ndarray) -> np.ndarray:
     # 2x2 non-overlapping average of a (..., C, H, W) stack; a trailing odd
-    # row/column is dropped.
-    *lead, c, h, w = x.shape
+    # row/column is dropped. Each block sums as ((a + b) + (c + d)) / 4, its
+    # two rows first: the bits of numpy's mean over the block axes, except on
+    # a grid that halves to one column, where mean sums ((a + b) + c) + d.
+    *_, h, w = x.shape
     h2, w2 = h // 2, w // 2
     if h2 < 1 or w2 < 1:
         raise ValueError(f"grid {h}x{w} too small for 2x2 downsampling")
-    return x[..., : 2 * h2, : 2 * w2].reshape(*lead, c, h2, 2, w2, 2).mean(axis=(-3, -1))
+    a, b, c, d = _quarters(x, h2, w2)
+    out = a + b
+    out += c + d
+    out /= 4.0
+    return out
 
 
 def _downsample_backward(grad_out: np.ndarray, pre_shape: tuple[int, ...]) -> np.ndarray:
     out = np.zeros(pre_shape)
-    h2, w2 = grad_out.shape[-2:]
-    out[..., : 2 * h2, : 2 * w2] = np.repeat(np.repeat(grad_out, 2, axis=-2), 2, axis=-1) / 4.0
+    quarter = grad_out / 4.0
+    for cells in _quarters(out, *grad_out.shape[-2:]):
+        cells[...] = quarter
     return out
 
 
@@ -177,19 +200,17 @@ def encode_forward(images: Sequence[ToyImage], params: EncoderParams) -> Forward
     """Float64 forward pass of a stack of same-shape images that keeps its
     layer cache for encode_backward.
 
-    Each layer's ReLU, mask and downsampling run once over the stack, while
-    conv2d_valid runs per image (a stacked contraction would round
-    differently), so every sample has the bits of its own one-image stack."""
-    pixels = [img.values for img in images]
-    x = np.stack(pixels)
+    Each layer's convolution, ReLU, mask and downsampling run once over the
+    stack; the convolution makes one product per image (a stacked
+    contraction would round differently), so every sample has the bits of
+    its own one-image stack."""
+    x = np.stack([img.values for img in images])
     inputs, masks = [], []
     for layer in params.layers:
-        # The first layer convolves each image's own pixel array, so that
-        # repeated forwards of one image pass conv2d_valid the same input.
-        pre = np.stack([conv2d_valid(xs, layer.kernel, layer.bias) for xs in (x if inputs else pixels)])
+        pre = conv2d_valid(x, layer.kernel, layer.bias)
         inputs.append(x)
         masks.append(pre > 0.0)
-        post = np.maximum(pre, 0.0)
+        post = np.maximum(pre, 0.0, out=pre)
         x = _downsample(post) if layer.downsample else post
     return ForwardPass(x, tuple(inputs), tuple(masks))
 
@@ -214,8 +235,9 @@ def encode_backward(
     Rectification uses subgradient 0 at exactly 0.
 
     Each layer's kernel and bias gradients come back with a leading sample
-    axis: the downsampling adjoint and the ReLU mask run once over the stack,
-    the kernel gradient and the input gradient per sample."""
+    axis: the downsampling adjoint, the ReLU mask and the input gradient run
+    once over the stack, and the kernel gradient takes one product per
+    sample from one windowed view of the stack."""
     if len(forward.relu_masks) != len(params.layers):
         raise MismatchError(
             f"forward pass has {len(forward.relu_masks)} layers, params have {len(params.layers)}"
@@ -231,17 +253,17 @@ def encode_backward(
             g = _downsample_backward(g, mask.shape)
         g = g * mask
         k, out_c = layer.kernel_size, layer.out_channels
+        # Each sample's windows as one (h w, C k k) matrix: one product per sample.
+        windows = _windows(forward.inputs[i], k).transpose(0, 4, 5, 1, 2, 3)
         kernel_grads = np.empty((len(g), out_c, layer.kernel[0].size))
-        for j, (gs, xs) in enumerate(zip(g, forward.inputs[i])):
-            # The windows as one (h w, C k k) matrix: one product per sample.
-            windows = _windows(xs, k).transpose(3, 4, 0, 1, 2)
-            kernel_grads[j] = np.dot(gs.reshape(out_c, -1), windows.reshape(gs[0].size, -1))
+        for j, gs in enumerate(g):
+            np.dot(gs.reshape(out_c, -1), windows[j].reshape(gs[0].size, -1), out=kernel_grads[j])
         grads[i] = LayerGradients(kernel_grads.reshape(len(g), *layer.kernel.shape), g.sum(axis=(2, 3)))
         if i > 0:  # the image needs no gradient
             # Full correlation with the flipped, channel-swapped kernel: the
             # transpose of the forward's valid correlation.
             flipped = layer.kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            g = np.stack([_correlate(np.pad(gs, ((0, 0), (k - 1, k - 1), (k - 1, k - 1))), flipped) for gs in g])
+            g = _correlate(np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1))), flipped)
     return grads  # type: ignore[return-value]
 
 

@@ -100,12 +100,14 @@ class LossReport:
     per_triplet_terms: tuple[float, ...]
 
 
-def global_distances(anchor: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Euclidean distance from one global vector to each row of a stack.
+def global_distances(anchors: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Euclidean distance from a global vector, or from each of an (m, d)
+    stack of them, to each row of an (n, d) stack: an (n,) or (m, n) array.
 
-    Every global distance in matching and mining is this one expression, so a
+    Every global distance in matching and mining is this one expression, and
+    each norm reduces one contiguous length-d row whatever the stack, so a
     pair's distance has the same bits on every path that computes it."""
-    return np.linalg.norm(others - anchor, axis=1)
+    return np.linalg.norm(others - anchors[..., None, :], axis=-1)
 
 
 def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], ReconstructionScorer]:
@@ -120,12 +122,12 @@ def _mine(batch: TripletBatch, beta: float) -> tuple[list[MinedTriplet], Reconst
     globals_ = np.stack([s.global_feature.values for s in samples])
     spatial = [s.spatial for s in samples]
     scorer = ReconstructionScorer(spatial, beta)
-    # The anchors of each column count are scored in one call.
+    # The anchors of each column count are scored in one call, which leaves
+    # each anchor's own dictionary unscored: the diagonal is never read.
     d = np.empty((len(samples), len(samples)))
     for positions in group_by_shape([x.columns for x in spatial]).values():
-        d[positions] = scorer.stacked_distances([spatial[i] for i in positions])
-    d += np.stack([global_distances(s.global_feature.values, globals_) for s in samples])
-    np.fill_diagonal(d, 0.0)
+        d[positions] = scorer.stacked_distances([spatial[i] for i in positions], skip=enumerate(positions))
+    d += global_distances(globals_, globals_)
     # Each identity appears K times, so every row of the label-equality
     # matrix has K - 1 positives (anchor excluded) and n - K negatives, which
     # nonzero lists in index order. argmax and argmin over d gathered there

@@ -18,7 +18,7 @@ instead, with W held fixed by the alternating scheme.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,11 +217,16 @@ def residual_operators(
 
 
 def residual_distances(
-    groups: list[tuple[np.ndarray, bool, np.ndarray]], size: int, probes: Sequence[FeatureMatrix]
+    groups: list[tuple[np.ndarray, bool, np.ndarray]],
+    size: int,
+    probes: Sequence[FeatureMatrix],
+    skip: Iterable[tuple[int, int]] = (),
 ) -> np.ndarray:
     """Mean residual column norm of each of a stack of same-shape probes
     against each of the `size` dictionaries whose operator groups
     residual_operators returned: a (probes, size) array, in list order.
+    The (probe, dictionary) pairs in `skip` are left unscored and read 0,
+    and every other pair has the bits of the same call without them.
 
     A primal pair is one slice of a broadcast product over probes and
     dictionaries, so it has the bits it gets scored alone. Its squared
@@ -239,15 +244,24 @@ def residual_distances(
     as the group has dictionaries, so however many pairs are flagged, the
     rescore holds per dictionary of the group at most two residual-sized
     buffers (the product and the copy of the pair's probe) and a copy of
-    one operator. The dual form is applied one probe at a time: stacked, it
-    was slower.
+    one operator. A skipped primal pair is never rescored, and its Gram-form
+    r_n^2, which can be negative, is zeroed before the square root. The dual
+    form is applied one probe at a time: stacked, it was slower.
     """
-    # Each residual is formed transposed, one row per probe column, so that
-    # each column norm reduces a contiguous row.
     out = np.empty((len(probes), size))
+    pairs = tuple(skip)
+    skipped = None  # the pairs to leave unscored as a (probes, size) mask, if any
+    if pairs:
+        skipped = np.zeros((len(probes), size), dtype=bool)
+        skipped[tuple(np.transpose(pairs))] = True
+    # Each residual is formed transposed, one row per probe column. np.stack
+    # keeps each probe's slice column-major, so `squares` and the rescore's
+    # norms reduce a strided axis; a C-ordered copy of xt would be read
+    # contiguously, but it gave the broadcast product different bits.
     xt = np.stack([x.columns.T for x in probes])
     squares = None  # the probes' squared column norms, once a primal group needs them
     for positions, dual, operators in groups:
+        group_skipped = None if skipped is None else skipped[:, positions]
         if dual:
             for i, x in enumerate(probes):
                 # One residual-sized buffer, updated in place: a second one
@@ -255,6 +269,9 @@ def residual_distances(
                 residual_t = x.columns.T @ operators
                 np.square(residual_t, out=residual_t)
                 out[i, positions] = np.sqrt(residual_t.sum(axis=2)).mean(axis=1)
+            if group_skipped is not None:
+                skipped_probes, skipped_dicts = np.nonzero(group_skipped)
+                out[skipped_probes, positions[skipped_dicts]] = 0.0
             continue
         dim = xt.shape[2]
         e, gram_inverse = operators[:, :dim], operators[:, dim:]
@@ -263,7 +280,11 @@ def residual_distances(
         projected = xt[:, None] @ e[None]
         with np.errstate(invalid="ignore"):  # inf - inf: raised below as non-finite
             r2 = squares - np.square(projected).sum(axis=3)
-        flagged_probes, flagged_dicts = np.nonzero((r2 < GRAM_FORM_FLOOR * squares).any(axis=2))
+        flagged = (r2 < GRAM_FORM_FLOOR * squares).any(axis=2)
+        if group_skipped is not None:
+            r2[group_skipped] = 0.0
+            flagged &= ~group_skipped
+        flagged_probes, flagged_dicts = np.nonzero(flagged)
         for start in range(0, len(flagged_probes), len(positions)):
             # Two residual-sized buffers per pair: the product, which takes
             # the difference and its square in place, and the probe's copy.
@@ -317,13 +338,17 @@ class ReconstructionScorer:
         """Mean residual column norm of x against each dictionary."""
         return self.stacked_distances([x])[0]
 
-    def stacked_distances(self, xs: Sequence[FeatureMatrix]) -> np.ndarray:
+    def stacked_distances(
+        self, xs: Sequence[FeatureMatrix], skip: Iterable[tuple[int, int]] = ()
+    ) -> np.ndarray:
         """distances() of each of a stack of same-shape probes, as one
-        (probes, dictionaries) array; row i has the bits of distances(xs[i])."""
+        (probes, dictionaries) array; row i has the bits of distances(xs[i]),
+        except that the (probe, dictionary) pairs in `skip` are left unscored
+        and read 0."""
         for x in xs:
             if x.dim != self.dim:
                 raise MismatchError(f"feature dim {x.dim} != dictionary dim {self.dim}")
-        return residual_distances(self._groups, self.size, xs)
+        return residual_distances(self._groups, self.size, xs, skip)
 
 
 def solve_coefficients(x: FeatureMatrix, y: FeatureMatrix, beta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "command_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+METRICS = [{"name": "command_s", "better": "lower", "bound": 0.25}, {"name": "rate", "better": "higher", "bound": 0.1}]
 
 
 def result(command_s, rate, attempted=4, failed=0):
@@ -65,3 +65,48 @@ def test_a_failed_run_leaves_its_pair_out_of_the_metrics():
     assert summary["runs"]["base"] == {"failed_runs": 1, "attempted": 8, "failed": 0}
     assert summary["runs"]["head"] == {"failed_runs": 2, "attempted": 4, "failed": 0}
     assert bench_pairs.summarize([(None, result(2.0, 1.0))], METRICS)["metrics"] == {}
+
+
+def command_pairs(base, head):
+    return [(result(b, 10.0), result(h, 10.0)) for b, h in zip(base, head)]
+
+
+# (base command_s, head command_s, verdict) over ten pairs; the bound is 0.25
+# of the base median.
+VERDICT_CASES = {
+    # 9 of 10 wins, and the medians 2.0 -> 1.8 differ by more than the base's
+    # quartile spread, 1.9625-2.0375
+    "gain": ([1.95, 1.95, 1.95, 2.0, 2.0, 2.0, 2.0, 2.05, 2.05, 2.05], [1.8] * 9 + [2.1], "gain"),
+    # 8 of 10 wins is not enough, however far apart the medians
+    "eight-wins": ([2.0] * 10, [1.5] * 8 + [2.1] * 2, "unchanged"),
+    # 10 of 10 wins, but the medians 2.0 -> 1.94 differ by less than that spread
+    "inside-spread": ([1.95, 1.95, 1.95, 2.0, 2.0, 2.0, 2.0, 2.05, 2.05, 2.05], [1.94] * 10, "unchanged"),
+    # the head's median is 2.6 against 2.0: worse by 0.3 of the base median
+    "worse": ([2.0] * 10, [2.6] * 10, "worse"),
+    # the base's quartiles are 1.5-2.5 (0.5 of its median, above the
+    # bound), and the head, 0.1 of that median worse, wins 4 of 10 pairs
+    "unresolved": ([1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 2.5, 3.0], [2.2] * 10, "unresolved"),
+    # the same spread, and the head reads better in every pair: not a gain
+    # (its median is inside the spread), and not unresolved either
+    "wide-but-always-better": ([1.0, 1.5, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 2.5, 3.0],
+                               [0.9, 1.4, 1.4, 1.4, 1.9, 1.9, 2.4, 2.4, 2.4, 2.9], "unchanged"),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_verdicts_on_fixed_numbers(case):
+    base, head, expected = VERDICT_CASES[case]
+    summary = bench_pairs.summarize(command_pairs(base, head), METRICS)
+    command = summary["metrics"]["command_s"]
+    assert command["verdict"] == expected
+    assert f"  verdict: {expected} (bound 0.25 of the base median)" in bench_pairs.format_summary(summary)
+    # rate reads 10.0 on both sides in every pair: no spread, no change
+    assert summary["metrics"]["rate"]["verdict"] == "unchanged"
+
+
+def test_a_higher_is_better_metric_reads_its_direction():
+    # rate 10 -> 12 in every pair is a gain, 10 -> 8.5 worse by 0.15 > 0.1
+    gain = [(result(2.0, 10.0), result(2.0, 12.0))] * 10
+    assert bench_pairs.summarize(gain, METRICS)["metrics"]["rate"]["verdict"] == "gain"
+    worse = [(result(2.0, 10.0), result(2.0, 8.5))] * 10
+    assert bench_pairs.summarize(worse, METRICS)["metrics"]["rate"]["verdict"] == "worse"

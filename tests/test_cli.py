@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -576,10 +577,12 @@ class TestTrainDemo:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_monitor_loop_reads_its_inbox_to_the_end_after_a_failure(self):
-        # Were it to stop reading, the parent's next send could block on a
-        # full pipe or fail against a closed one.
-        inbox = io.BytesIO(b"".join(pickle.dumps(epoch) for epoch in range(5)))
+    def test_the_monitor_loop_raises_its_first_failure_at_once(self):
+        # The worker sends the exception and exits without reading the rest
+        # of its inbox: the parent stops sending once it sees the result, and
+        # a send that races the exit fails against the closed pipe.
+        rest = b"".join(pickle.dumps(epoch) for epoch in range(2, 5))
+        inbox = io.BytesIO(pickle.dumps(0) + pickle.dumps(1) + rest)
         seen = []
 
         def monitor_loss(epoch):
@@ -591,8 +594,45 @@ class TestTrainDemo:
         with pytest.raises(FactorizationError, match="fault at epoch 1"):
             cli._monitor_losses(inbox, monitor_loss)
         assert seen == [0, 1]
-        assert inbox.read() == b""
+        assert inbox.read() == rest
         assert cli._monitor_losses(io.BytesIO(pickle.dumps(2.0) * 3), lambda x: x / 2) == [1.0, 1.0, 1.0]
+
+    @pytest.mark.skipif(not cli.CAN_FORK, reason="the monitor worker is forked on Linux only")
+    def test_a_failed_monitor_stops_the_steps(self, tmp_path, monkeypatch, capsys):
+        # The monitor fails at epoch 0. The first step waits, for at most
+        # 10 s and without reaping it, until the worker has exited, so its
+        # exception has been sent before the check that precedes epoch 1's send.
+        pids, fork, steps = [], os.fork, []
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def failing_loss(*args):
+            raise FactorizationError("monitor fault at epoch 0")
+
+        def waiting_step(*args):
+            steps.append(True)
+            deadline = time.monotonic() + 10.0
+            while len(steps) == 1 and time.monotonic() < deadline:
+                if os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT | os.WNOHANG) is not None:
+                    break
+                time.sleep(0.01)
+            return training_step(*args)
+
+        training_step = cli.training_step
+        monkeypatch.setattr(cli.os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "sfr_triplet_loss", failing_loss)
+        monkeypatch.setattr(cli, "training_step", waiting_step)
+        out = tmp_path / "demo"
+        rc = main(["train-demo", "--out", str(out), "--epochs", "20", "--workers", "2"])
+        assert (rc, capsys.readouterr().err) == (3, "error: monitor fault at epoch 0\n")
+        assert len(steps) <= 2
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_singular_gram_exit_3_at_any_worker_count(self, tmp_path, capsys, workers):

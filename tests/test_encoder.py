@@ -19,6 +19,7 @@ from sfr.encoder import (
     load_params,
     save_params,
     _correlate,
+    _downsample,
     _downsample_backward,
 )
 from sfr.errors import FormatError, MismatchError
@@ -334,6 +335,99 @@ class TestIm2colBits:
         for layer, (kernels, biases) in zip(got, reference_backward(forward, params, upstream)):
             np.testing.assert_array_equal(layer.kernel, kernels)
             np.testing.assert_array_equal(layer.bias, biases)
+
+
+def mean_downsample(x):
+    """2x2 average as a 6-D mean over the block axes, the reference for
+    _downsample's summation order."""
+    *lead, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    return x[..., : 2 * h2, : 2 * w2].reshape(*lead, c, h2, 2, w2, 2).mean(axis=(-3, -1))
+
+
+def repeat_downsample_backward(grad_out, pre_shape):
+    """The downsampling adjoint as np.repeat spreads it, the reference for
+    _downsample_backward."""
+    out = np.zeros(pre_shape)
+    h2, w2 = grad_out.shape[-2:]
+    out[..., : 2 * h2, : 2 * w2] = np.repeat(np.repeat(grad_out, 2, axis=-2), 2, axis=-1) / 4.0
+    return out
+
+
+def laid_out_stack(values, layout):
+    """laid_out for a (n, C, H, W) stack."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "strided":
+        n, c, h, w = values.shape
+        big = np.zeros((n, c, 2 * h, 3 * w))
+        big[:, :, 1::2, ::3] = values
+        return big[:, :, 1::2, ::3]
+    return np.ascontiguousarray(values.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+
+
+# (stack size, channels, height, width): odd and even grids, and grids one
+# row or one column high or wide after downsampling.
+STACK_GRIDS = [(3, 2, h, w) for h, w in ((8, 6), (9, 7), (2, 9), (3, 8), (9, 2), (8, 3), (2, 2))]
+
+
+class TestStackedKernelsKeepTheBits:
+    """The downsampling, the stacked convolution and the kernel gradient give
+    every sample of a stack the bits of its own one-image stack."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    @pytest.mark.parametrize("n, c, height, width", STACK_GRIDS)
+    def test_downsample_and_its_adjoint(self, n, c, height, width, layout):
+        rng = np.random.default_rng([n, c, height, width])
+        x = laid_out_stack(rng.standard_normal((n, c, height, width)), layout)
+        down = _downsample(x)
+        grad = rng.standard_normal(down.shape)
+        back = _downsample_backward(grad, x.shape)
+        np.testing.assert_array_equal(back, repeat_downsample_backward(grad, x.shape))
+        for j in range(n):
+            np.testing.assert_array_equal(down[j], _downsample(x[j : j + 1])[0])
+            np.testing.assert_array_equal(back[j], _downsample_backward(grad[j : j + 1], x[j : j + 1].shape)[0])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+    @pytest.mark.parametrize(
+        "n, c, height, width, k", [(*grid, k) for grid in STACK_GRIDS for k in (1, 2, 3) if k <= min(grid[2:])]
+    )
+    def test_convolution_and_kernel_gradient(self, n, c, height, width, k, layout):
+        rng = np.random.default_rng([n, c, height, width, k])
+        kernel, bias = rng.standard_normal((4, c, k, k)), rng.standard_normal(4)
+        x = laid_out_stack(rng.standard_normal((n, c, height, width)), layout)
+        out = conv2d_valid(x, kernel, bias)
+        params = EncoderParams((ConvLayer(kernel, bias),))
+        upstream = rng.standard_normal(out.shape)
+
+        def kernel_gradient(inputs, grad):
+            forward = ForwardPass(np.zeros(grad.shape), (inputs,), (np.ones(grad.shape, dtype=bool),))
+            return encode_backward(forward, params, grad)[0].kernel
+
+        stacked = kernel_gradient(x, upstream)
+        for j in range(n):
+            np.testing.assert_array_equal(out[j], conv2d_valid(x[j : j + 1], kernel, bias)[0])
+            np.testing.assert_array_equal(out[j], conv2d_valid(x[j], kernel, bias))
+            np.testing.assert_array_equal(stacked[j], kernel_gradient(x[j : j + 1], upstream[j : j + 1])[0])
+
+    def test_downsample_has_the_bits_of_the_mean_on_every_demo_grid(self):
+        # train-demo's crops, after its one valid convolution, in stacks of
+        # up to a training batch: _downsample sums each block as
+        # ((a + b) + (c + d)), which is what the 6-D mean does on every grid
+        # that does not halve to one column.
+        from sfr.cli import DEMO_DATA, DEMO_IDENTITIES, DEMO_LAYERS, RunConfig
+
+        ((channels, _, k, down),) = DEMO_LAYERS
+        assert down
+        (min_h, min_w), (max_h, max_w) = DEMO_DATA["min_crop"], DEMO_DATA["base_shape"]
+        cfg = RunConfig()
+        rng = np.random.default_rng(47)
+        for height in range(min_h - k + 1, max_h - k + 2):
+            for width in range(min_w - k + 1, max_w - k + 2):
+                assert width // 2 > 1
+                for n in range(1, min(cfg.p, DEMO_IDENTITIES) * cfg.k + 1):
+                    x = np.maximum(rng.standard_normal((n, channels, height, width)), 0.0)
+                    np.testing.assert_array_equal(_downsample(x), mean_downsample(x))
 
 
 class TestCheckpoint:

@@ -65,6 +65,16 @@ class TestEuclideanDistance:
         expected = sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
         assert abs(global_distances(a, b[None, :])[0] - expected) < 1e-10
 
+    @pytest.mark.parametrize("dim", [1, 7, 64, 129])
+    def test_a_stack_of_anchors_has_the_bits_of_one_at_a_time(self, dim):
+        rng = np.random.default_rng(dim)
+        anchors, others = rng.standard_normal((5, dim)), rng.standard_normal((40, dim))
+        stacked = global_distances(anchors, others)
+        assert stacked.shape == (5, 40)
+        for row, anchor in zip(stacked, anchors):
+            np.testing.assert_array_equal(row, global_distances(anchor, others))
+            np.testing.assert_array_equal(row, [global_distances(anchor, o[None, :])[0] for o in others])
+
     def test_dim_mismatch(self):
         spatial = fm(np.eye(2))
         batch = twice_each(BatchSample("a", gf([1.0]), spatial), BatchSample("b", gf([1.0, 2.0]), spatial))
@@ -172,6 +182,16 @@ class TestBatchHardMine:
             batch = build_batch(sample_batch(pools, 6, 4, np.random.default_rng((7, epoch))), params)
             assert {s.spatial.dim for s in batch.samples} == {64}
             assert {s.spatial.count for s in batch.samples} == {11, 14, 20, 26}
+            assert batch_hard_mine(batch, BETA) == exhaustive_mine(batch, BETA)
+
+    @pytest.mark.parametrize("dim", [2, 8], ids=["dual-and-primal", "primal"])
+    def test_skipping_each_anchors_own_dictionary_keeps_the_oracle_bits(self, dim):
+        # Mining leaves each anchor's pair with its own dictionary unscored;
+        # the oracle never scores it. Feature dim 2 sends the dictionaries of
+        # more than two columns to the dual form, dim 8 none of them.
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            batch = random_batch(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)), dim)
             assert batch_hard_mine(batch, BETA) == exhaustive_mine(batch, BETA)
 
     def test_permutation_consistency(self):
@@ -403,7 +423,9 @@ class TestOneForwardPerStep:
         monkeypatch.setattr(reconstruction_mod, "DictionaryFactor", counting_factor)
         batch, params = small_training_batch(seed=4)
         samples = len(batch.samples)
-        assert len(conv_calls) == samples * len(params.layers)
+        # conv2d_valid takes a stack of same-shape grids: each sample is in
+        # one stack per layer.
+        assert sum(len(args[0]) for args in conv_calls) == samples * len(params.layers)
 
         conv_calls.clear()
         _, report = training_step(batch, BETA, 0.3, 1e-3)

@@ -297,6 +297,52 @@ class TestReconstructionScorer:
             scorer.distances(fm(rng.standard_normal((4, 2))))
 
 
+class TestSkippedPairs:
+    """The (probe, dictionary) pairs a scoring call is told to skip read
+    exactly 0, and every other pair keeps the bits of the same call without
+    the skip."""
+
+    SKIP = [(0, 0), (1, 2), (2, 1), (2, 2)]
+
+    def check(self, scorer, probes, skip):
+        full = scorer.stacked_distances(probes)
+        got = scorer.stacked_distances(probes, skip=skip)
+        skipped = np.zeros(got.shape, dtype=bool)
+        skipped[tuple(np.transpose(skip))] = True
+        assert (got[skipped] == 0.0).all()
+        np.testing.assert_array_equal(got[~skipped], full[~skipped])
+        return full
+
+    @pytest.mark.parametrize(
+        "d, counts, forms",
+        [(8, (20, 20, 20), {True}), (30, (6, 6, 6), {False}), (10, (25, 3, 25, 9), {True, False})],
+        ids=["dual", "primal", "dual-and-primal"],
+    )
+    def test_skipped_pairs_read_zero_and_the_rest_keep_their_bits(self, d, counts, forms):
+        rng = np.random.default_rng(17)
+        ys = [unit_columns(rng, d, m) for m in counts]
+        probes = [unit_columns(rng, d, 5) for _ in range(3)]
+        scorer = ReconstructionScorer(ys, 1e-3)
+        assert {dual for _, dual, _ in scorer._groups} == forms
+        full = self.check(scorer, probes, self.SKIP)
+        assert (full[tuple(np.transpose(self.SKIP))] > 0.0).all()
+
+    def test_a_probe_made_of_its_own_dictionary(self):
+        # Probe i is dictionary i's own columns, as a mining anchor is. At a
+        # small beta its Gram-form r^2 against that dictionary is negative in
+        # some column, so the pair is flagged for the direct form when
+        # scored, and when skipped it must be zeroed before the square root.
+        rng = np.random.default_rng(23)
+        ys = [unit_columns(rng, 64, 20) for _ in range(3)]
+        scorer = ReconstructionScorer(ys, 1e-12)
+        ((_, dual, operators),) = scorer._groups
+        assert not dual
+        for y, e in zip(ys, operators[:, :64]):
+            x = y.columns.T
+            assert (np.square(x).sum(axis=1) - np.square(x @ e).sum(axis=1) < 0.0).any()
+        self.check(scorer, ys, [(i, i) for i in range(len(ys))])
+
+
 class TestCholeskyFactors:
     # A scorer factors each shape group as one stack (np.linalg.cholesky, then
     # the inverse factors by forward substitution). Every slice must have the

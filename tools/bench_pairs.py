@@ -10,10 +10,11 @@ and this script imports nothing from either tree; it reads the end-to-end
 metrics and the direction in which each is better from HEAD's
 `BENCHMARK.json`.
 
-Per metric it prints each side's median and quartiles over the pairs, and in
-how many pairs the head was better; per side, how many commands were
-attempted and how many failed. A run that exits non-zero or prints no JSON
-result is counted as a failed run and leaves its pair out of the metrics.
+Per metric it prints each side's median and quartiles over the pairs, in
+how many pairs the head was better, and its verdict (see `verdict`); per
+side, how many commands were attempted and how many failed. A run that exits
+non-zero or prints no JSON result is counted as a failed run and leaves its
+pair out of the metrics.
 The last line of standard output is the summary as one JSON object.
 """
 
@@ -53,10 +54,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(metric: dict, complete: int) -> str:
+    """The reading of one metric's summary over `complete` pairs, by the rule
+    for claiming a gain and for reporting other metrics in a small sandbox;
+    `bound` is the metric's bound from BENCHMARK.json:
+
+    - "gain": the head won at least nine tenths of the pairs, and its median
+      is better than the base's by more than the base's quartile spread;
+    - "worse": the head's median is worse than the base's by more than
+      `bound`, a share of the base median;
+    - "unresolved": the base's own quartile spread is wider than `bound`
+      times its median, and the head did not read better in every pair;
+    - "unchanged": none of these.
+    """
+    base, head, bound = metric["base"], metric["head"], metric["bound"]
+    sign = 1 if metric["better"] == "lower" else -1
+    gain = sign * (base["median"] - head["median"])
+    spread = base["q3"] - base["q1"]
+    if 10 * metric["head_wins"] >= 9 * complete and gain > spread:
+        return "gain"
+    if -gain > bound * abs(base["median"]):
+        return "worse"
+    if spread > bound * abs(base["median"]) and metric["head_wins"] < complete:
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> dict:
     """The summary of paired runs: pairs holds one (base, head) pair of
     `perfbench/run.py` results per pair (None for a failed run), metrics the
-    end-to-end entries of BENCHMARK.json (name and better).
+    end-to-end entries of BENCHMARK.json (name, better and bound).
 
     Only pairs where both runs gave a result count towards the metrics; the
     head wins a pair when its value is strictly better."""
@@ -65,12 +92,14 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict])
     for metric in metrics if complete else []:
         name, sign = metric["name"], (1 if metric["better"] == "lower" else -1)
         values = {side: [r[i]["metrics"][name]["value"] for r in complete] for i, side in enumerate(("base", "head"))}
-        summary["metrics"][name] = {
+        summary["metrics"][name] = entry = {
             "unit": complete[0][0]["metrics"][name]["unit"],
             "better": metric["better"],
+            "bound": metric["bound"],
             **{side: dict(zip(("q1", "median", "q3"), quartiles(v))) for side, v in values.items()},
             "head_wins": sum(sign * (h - b) < 0 for b, h in zip(values["base"], values["head"])),
         }
+        entry["verdict"] = verdict(entry, len(complete))
     for i, side in enumerate(("base", "head")):
         results = [pair[i] for pair in pairs]
         summary["runs"][side] = {
@@ -89,6 +118,7 @@ def format_summary(summary: dict) -> str:
         for side in ("base", "head"):
             q = m[side]
             lines.append(f"  {side}: median {q['median']:.4g}, quartiles {q['q1']:.4g}-{q['q3']:.4g}")
+        lines.append(f"  verdict: {m['verdict']} (bound {m['bound']:.4g} of the base median)")
     for side, r in summary["runs"].items():
         lines.append(f"{side}: {r['failed']} of {r['attempted']} commands failed, {r['failed_runs']} runs failed")
     return "\n".join(lines)
