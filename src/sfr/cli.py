@@ -20,9 +20,7 @@ import json
 import math
 import os
 import pickle
-import select
 import shutil
-import signal
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,19 +46,13 @@ from .retrieval import (
     write_summary_json,
 )
 from .toydata import make_identity_pools
+from .workers import CAN_FORK, Workers
 
 DEMO_IDENTITIES = 10
 DEMO_LAYERS = ((64, 1, 7, True),)
 DEMO_DATA = dict(base_shape=(16, 12), cells=(4, 3), noise=0.01, jitter=0.3, min_crop=(14, 11))
 # The CPUs this process may run on: the default of --workers.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# `sfr match` forks its probe workers, so that they inherit the built gallery
-# copy-on-write instead of building or unpickling it again, and `sfr
-# train-demo` its monitor worker, which inherits the monitor batch's images
-# (OpenBLAS shuts its thread pool down at a fork and restarts it on demand).
-# Fork is used on Linux only; elsewhere every chunk is ranked, and every
-# monitor loss computed, in-process.
-CAN_FORK = sys.platform.startswith("linux") and hasattr(os, "fork")
 
 
 @dataclass
@@ -229,44 +221,6 @@ def probe_chunks(count: int, workers: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _fork_worker(work) -> tuple[int, BinaryIO]:
-    """Run work() in a forked child, a probe worker of `sfr match` or the
-    monitor worker of `sfr train-demo`; returns its pid and the read end of a
-    pipe that carries the pickled result, or the exception work() raised.
-    The child leaves through os._exit, so none of the parent's cleanup,
-    buffered output or callers run in it; a child that cannot send its
-    result sends nothing, which _collect reports."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = work()
-            except BaseException as exc:  # handed to the parent, which re-raises it
-                result = exc
-            payload = pickle.dumps(result)
-            with os.fdopen(write_fd, "wb") as fh:
-                fh.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _collect(role: str, pid: int, pipe: BinaryIO, reaped: set[int]):
-    """The result that a forked `role` worker sent through `pipe`, read to
-    its end; the worker is reaped, and its pid added to `reaped`."""
-    payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    reaped.add(pid)
-    if not payload:
-        raise ChildProcessError(f"{role} worker {pid} exited with status {status} and no result")
-    return pickle.loads(payload)
-
-
 def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig, out: Path) -> list[RetrievalRanking]:
     """Every probe of the manifest ranked against the gallery, in manifest
     order, and their rows written to out/rankings.csv.
@@ -278,8 +232,7 @@ def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig,
     concatenates the parts in probe order. A pair's distances do not depend
     on the chunk it is scored in, so the bytes do not depend on the worker
     count. The first chunk, in probe order, that failed has its exception
-    re-raised, and no rankings.csv or part file is written or left. Every
-    worker is reaped before this returns or raises."""
+    re-raised, and no rankings.csv or part file is written or left."""
     chunks = probe_chunks(len(manifest), cfg.workers if CAN_FORK else 1)
     parts = [out / f"rankings.csv.part{k}" for k in range(len(chunks))]
 
@@ -292,31 +245,22 @@ def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig,
             _write_rankings_rows(fh, rankings)
         return rankings
 
-    workers: list[tuple[int, BinaryIO]] = []  # (pid, its result pipe), in chunk order
-    reaped: set[int] = set()
     try:
-        for chunk, part in zip(chunks[1:], parts[1:]):
-            workers.append(_fork_worker(lambda chunk=chunk, part=part: rank_to_part(chunk, part)))
-        # The first part holds the header and this process's rows, written
-        # while the workers still run; the others are appended to it.
-        rankings = rank(chunks[0])
-        _write_rankings_csv(parts[0], rankings)
-        with open(parts[0], "a", encoding="utf-8", newline="") as fh:
-            for (pid, pipe), part in zip(workers, parts[1:]):
-                result = _collect("probe", pid, pipe, reaped)
-                if isinstance(result, BaseException):
-                    raise result
-                rankings += result
-                with open(part, "r", encoding="utf-8", newline="") as rows:
-                    shutil.copyfileobj(rows, fh)
+        with Workers("probe") as workers:
+            for chunk, part in zip(chunks[1:], parts[1:]):
+                workers.submit(lambda chunk=chunk, part=part: rank_to_part(chunk, part))
+            # The first part holds the header and this process's rows, written
+            # while the workers still run; the others are appended to it.
+            rankings = rank(chunks[0])
+            _write_rankings_csv(parts[0], rankings)
+            with open(parts[0], "a", encoding="utf-8", newline="") as fh:
+                for result, part in zip(workers.results(), parts[1:]):
+                    rankings += result
+                    with open(part, "r", encoding="utf-8", newline="") as rows:
+                        shutil.copyfileobj(rows, fh)
         os.replace(parts[0], out / "rankings.csv")
         return rankings
     finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
         for part in parts:
             part.unlink(missing_ok=True)
 
@@ -450,68 +394,6 @@ def _monitor_losses(inbox: BinaryIO, monitor_loss) -> list[float]:
         losses.append(monitor_loss(params))
 
 
-def _train_with_monitor_worker(train, monitor_loss):
-    """train(send) run here while a forked worker computes monitor_loss of
-    each EncoderParams that train sends, in order; returns train's result and
-    the list of monitor losses.
-
-    The worker's exception, if it has one, is raised first: train sends an
-    epoch's parameters before it steps, so the worker fails at an epoch no
-    later than train's own failure, as the inline monitor would. The worker
-    sends its exception as soon as it has it, and send checks for it without
-    blocking before each epoch, so train stops stepping once it has arrived.
-    Otherwise train's exception is raised, once the worker has been
-    collected. The worker is reaped before this returns or raises."""
-    inbox_fd, send_fd = os.pipe()
-
-    def work() -> list[float]:
-        os.close(send_fd)  # the child holds no write end, so it sees EOF if the parent dies
-        with os.fdopen(inbox_fd, "rb") as inbox:
-            return _monitor_losses(inbox, monitor_loss)
-
-    try:
-        pid, results = _fork_worker(work)
-    except BaseException:
-        os.close(send_fd)
-        raise
-    finally:
-        os.close(inbox_fd)
-    # Unbuffered, so that closing it never writes: a buffered writer flushes
-    # at close, which could block on, or fail against, a worker being killed.
-    send_pipe = os.fdopen(send_fd, "wb", buffering=0)
-
-    def send(params: EncoderParams) -> None:
-        # The worker writes its result only when it stops, which before the
-        # inbox is closed means that it failed: stop stepping. A worker that
-        # stops after this check closes the inbox, and the write below fails.
-        if select.select([results], [], [], 0)[0]:
-            raise BrokenPipeError("the monitor worker has stopped")
-        payload = memoryview(pickle.dumps(params))
-        while payload:  # a raw write may take only part of it
-            payload = payload[send_pipe.write(payload):]
-
-    reaped: set[int] = set()
-    try:
-        error = None
-        try:
-            trained = train(send)
-        except Exception as exc:
-            error = exc
-        send_pipe.close()
-        losses = _collect("monitor", pid, results, reaped)
-        if isinstance(losses, BaseException):
-            raise losses
-        if error is not None:
-            raise error
-        return trained, losses
-    finally:
-        send_pipe.close()
-        results.close()
-        if pid not in reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def cmd_train_demo(args, cfg: RunConfig) -> int:
     """Seeded end-to-end run: train the toy encoder on synthetic identities,
     log the per-epoch loss of a fixed reference batch, and evaluate held-out
@@ -558,7 +440,39 @@ def cmd_train_demo(args, cfg: RunConfig) -> int:
         return params, steps
 
     if CAN_FORK and cfg.workers > 1 and cfg.epochs > 0:
-        (params, steps), losses = _train_with_monitor_worker(train, monitor_loss)
+        # The parent's end of the inbox is unbuffered, so that closing it never
+        # writes: a buffered writer flushes at close, which could block on, or
+        # fail against, a worker being killed.
+        inbox_fd, send_fd = os.pipe()
+        with (
+            Workers("monitor") as monitor,
+            os.fdopen(send_fd, "wb", buffering=0) as to_monitor,
+            os.fdopen(inbox_fd, "rb") as inbox,
+        ):
+            def work() -> list[float]:
+                to_monitor.close()  # the child holds no write end, so it sees EOF if the parent dies
+                return _monitor_losses(inbox, monitor_loss)
+
+            monitor.submit(work)
+            inbox.close()  # with no reader left here, a write to a stopped worker fails
+
+            def send(params: EncoderParams) -> None:
+                # The worker sends only when it stops, which before the inbox
+                # closes means that it failed: stop stepping. A worker that
+                # stops after this check has closed its inbox, so the write fails.
+                if monitor.sent(0):
+                    raise BrokenPipeError("the monitor worker has stopped")
+                payload = memoryview(pickle.dumps(params))
+                while payload:  # a raw write may take only part of it
+                    payload = payload[to_monitor.write(payload):]
+
+            try:
+                params, steps = train(send)
+            finally:
+                # The worker's fault replaces the step's, which is no earlier in
+                # epoch order: an epoch's parameters are sent before it steps.
+                to_monitor.close()
+                (losses,) = monitor.results()
     else:
         losses = []
         params, steps = train(lambda params: losses.append(monitor_loss(params)))
