@@ -24,7 +24,7 @@ import shutil
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -35,11 +35,12 @@ from .metric import build_batch, sample_batch, sfr_triplet_loss, training_step
 from .oracle import run_verification
 from .retrieval import (
     GALLERY_BLOCK,
+    Fold,
     GalleryIndex,
     Pooled,
-    RetrievalRanking,
     build_gallery,
     evaluate,
+    fold,
     load_manifest,
     match_probes,
     write_cmc_csv,
@@ -200,16 +201,6 @@ def _load_pooled(manifest, manifest_path, cfg: RunConfig, dim: int | None = None
         )
 
 
-def _rank(gallery: GalleryIndex, probes: Iterable[tuple[str, Pooled]]) -> list[RetrievalRanking]:
-    """Each probe of (probe id, (global, spatial)) pairs ranked against the
-    gallery, in their order, scored GALLERY_BLOCK probes at a time."""
-    probes = iter(probes)
-    rankings = []
-    while block := list(itertools.islice(probes, GALLERY_BLOCK)):
-        rankings += match_probes(block, gallery)
-    return rankings
-
-
 def probe_chunks(count: int, workers: int) -> list[range]:
     """The contiguous chunks that `sfr match` splits `count` probes into, in
     order: min(workers, ceil(count / GALLERY_BLOCK)) of them, so that no
@@ -221,29 +212,31 @@ def probe_chunks(count: int, workers: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig, out: Path) -> list[RetrievalRanking]:
-    """Every probe of the manifest ranked against the gallery, in manifest
-    order, and their rows written to out/rankings.csv.
-
-    The probes are split into probe_chunks(n, cfg.workers). The parent
+def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig, out, truth, subject_of) -> list[Fold]:
+    """Every probe of the manifest ranked against the gallery, its rows
+    written to out/rankings.csv, and its fold (retrieval.fold), in manifest
+    order. The probes are split into probe_chunks(n, cfg.workers). The parent
     forks one worker per chunk after the first, which inherits the built
-    gallery, ranks its chunk, writes its rows to its own part file and sends
-    its rankings back; the parent ranks the first chunk itself and then
-    concatenates the parts in probe order. A pair's distances do not depend
-    on the chunk it is scored in, so the bytes do not depend on the worker
-    count. The first chunk, in probe order, that failed has its exception
-    re-raised, and no rankings.csv or part file is written or left."""
+    gallery, writes its chunk's rows to its own part file and sends back only
+    their folds; the parent ranks the first chunk itself and then appends the
+    parts in probe order. Each chunk is ranked, written and folded 32 probes
+    (GALLERY_BLOCK) at a time. A pair's distances do not depend on the chunk
+    it is scored in, so the bytes do not depend on the worker count. The
+    first chunk, in probe order, that failed has its exception re-raised, and
+    no rankings.csv or part file is written or left."""
     chunks = probe_chunks(len(manifest), cfg.workers if CAN_FORK else 1)
     parts = [out / f"rankings.csv.part{k}" for k in range(len(chunks))]
 
-    def rank(chunk: range) -> list[RetrievalRanking]:
-        return _rank(gallery, _load_pooled(manifest[chunk.start:chunk.stop], manifest_path, cfg, gallery.dim))
-
-    def rank_to_part(chunk: range, part: Path) -> list[RetrievalRanking]:
-        rankings = rank(chunk)
+    def rank_to_part(chunk: range, part: Path, header: str = "") -> list[Fold]:
+        probes = _load_pooled(manifest[chunk.start:chunk.stop], manifest_path, cfg, gallery.dim)
+        folds = []
         with open(part, "w", encoding="utf-8", newline="") as fh:
-            _write_rankings_rows(fh, rankings)
-        return rankings
+            fh.write(header)
+            while block := list(itertools.islice(probes, GALLERY_BLOCK)):
+                rankings = match_probes(block, gallery)
+                _write_rankings_rows(fh, rankings)
+                folds += (fold(r.probe_id, r.entry_ids, truth, subject_of) for r in rankings)
+        return folds
 
     try:
         with Workers("probe") as workers:
@@ -251,15 +244,14 @@ def _rank_probes(gallery: GalleryIndex, manifest, manifest_path, cfg: RunConfig,
                 workers.submit(lambda chunk=chunk, part=part: rank_to_part(chunk, part))
             # The first part holds the header and this process's rows, written
             # while the workers still run; the others are appended to it.
-            rankings = rank(chunks[0])
-            _write_rankings_csv(parts[0], rankings)
+            folds = rank_to_part(chunks[0], parts[0], ",".join(_RANKINGS_HEADER) + "\n")
             with open(parts[0], "a", encoding="utf-8", newline="") as fh:
                 for result, part in zip(workers.results(), parts[1:]):
-                    rankings += result
+                    folds += result
                     with open(part, "r", encoding="utf-8", newline="") as rows:
                         shutil.copyfileobj(rows, fh)
         os.replace(parts[0], out / "rankings.csv")
-        return rankings
+        return folds
     finally:
         for part in parts:
             part.unlink(missing_ok=True)
@@ -293,18 +285,12 @@ def _write_rankings_rows(fh, rankings) -> None:
         fh.write((_RANKINGS_ROW * n) % tuple(itertools.chain.from_iterable(rows)))
 
 
-def _write_rankings_csv(path, rankings) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_RANKINGS_HEADER) + "\n")
-        _write_rankings_rows(fh, rankings)
-
-
-def _read_rankings_csv(path) -> list[RetrievalRanking]:
-    """Rankings from a CSV that `_write_rankings_csv` wrote: six fields per
-    row, each probe's rows contiguous with ranks 1..N and finite scores; s
-    may not decrease with rank (exit 3). Bytes that are not such a CSV raise
-    FormatError."""
-    grouped: dict[str, tuple[list[str], list[float], list[float], list[float]]] = {}
+def _read_rankings_csv(path) -> dict[str, list[str]]:
+    """Each probe's entry ids in rank order, from a CSV that `sfr match`
+    wrote: six fields per row, each probe's rows contiguous with ranks 1..N
+    and finite scores; s may not decrease with rank (exit 3). Bytes that are
+    not such a CSV raise FormatError. The scores are checked, not kept."""
+    ranked: dict[str, list[str]] = {}
     last_probe = None
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -318,46 +304,49 @@ def _read_rankings_csv(path) -> list[RetrievalRanking]:
                     rank, scores = int(rank), (float(d_text), float(r_text), float(s_text))
                 except ValueError as exc:
                     raise FormatError(f"{path}: bad row {row}: {exc}") from exc
-                if probe_id != last_probe and probe_id in grouped:
-                    raise FormatError(f"{path}: rows for probe {probe_id} are not contiguous")
-                last_probe = probe_id
-                ids, d, r, s = grouped.setdefault(probe_id, ([], [], [], []))
+                if probe_id != last_probe:
+                    if probe_id in ranked:
+                        raise FormatError(f"{path}: rows for probe {probe_id} are not contiguous")
+                    last_probe, ids, last_s = probe_id, ranked.setdefault(probe_id, []), -math.inf
                 if rank != len(ids) + 1:
                     raise FormatError(f"{path}: ranks for probe {probe_id} not contiguous")
                 if not all(map(math.isfinite, scores)):
                     raise FormatError(f"{path}: non-finite score in row {row}")
-                if s and scores[2] < s[-1]:
+                if scores[2] < last_s:
                     raise MismatchError(f"{path}: probe {probe_id}: s decreases at rank {rank}")
                 ids.append(entry_id)
-                d.append(scores[0])
-                r.append(scores[1])
-                s.append(scores[2])
+                last_s = scores[2]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if not grouped:
+    if not ranked:
         raise FormatError(f"{path}: no ranking rows")
-    return [RetrievalRanking(pid, *columns) for pid, columns in grouped.items()]
+    return ranked
 
 
 def cmd_match(args, cfg: RunConfig) -> int:
+    out = Path(args.out)
+    for name in ("rankings.csv", "summary.json"):  # a failed run must not leave an earlier run's file
+        (out / name).unlink(missing_ok=True)
     gallery_manifest = load_manifest(args.gallery)
     probe_manifest = load_manifest(args.probes)
     truth = {m.entry_id: m.subject_id for m in probe_manifest}
     subject_of = {m.entry_id: m.subject_id for m in gallery_manifest}
     gallery = build_gallery(_load_pooled(gallery_manifest, args.gallery, cfg), cfg.alpha, cfg.beta)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rankings = _rank_probes(gallery, probe_manifest, args.probes, cfg, out)
-    write_summary_json(out / "summary.json", evaluate(rankings, truth, subject_of))
+    folds = _rank_probes(gallery, probe_manifest, args.probes, cfg, out, truth, subject_of)
+    write_summary_json(out / "summary.json", evaluate(folds, truth, subject_of))
     return 0
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
+    out = Path(args.out)
+    for name in ("cmc.csv", "summary.json"):
+        (out / name).unlink(missing_ok=True)
     rankings = _read_rankings_csv(args.rankings)
     truth = {m.entry_id: m.subject_id for m in load_manifest(args.truth)}
     subject_of = {m.entry_id: m.subject_id for m in load_manifest(args.gallery)}
-    report = evaluate(rankings, truth, subject_of)
-    out = Path(args.out)
+    folds = (fold(probe_id, ids, truth, subject_of) for probe_id, ids in rankings.items())
+    report = evaluate(folds, truth, subject_of)
     out.mkdir(parents=True, exist_ok=True)
     write_cmc_csv(out / "cmc.csv", report.cmc)
     write_summary_json(out / "summary.json", report)
@@ -375,8 +364,8 @@ def _toy_rank1(params, gallery_pool, probe_pool, cfg: RunConfig) -> float:
 
     subject_of, entries = pooled(gallery_pool, "g")
     truth, probes = pooled(probe_pool, "p")
-    rankings = _rank(build_gallery(entries, cfg.alpha, cfg.beta), probes)
-    return evaluate(rankings, truth, subject_of).rank_k(1)
+    rankings = match_probes(list(probes), build_gallery(entries, cfg.alpha, cfg.beta))
+    return evaluate((fold(r.probe_id, r.entry_ids, truth, subject_of) for r in rankings), truth, subject_of).rank_k(1)
 
 
 def _monitor_losses(inbox: BinaryIO, monitor_loss) -> list[float]:

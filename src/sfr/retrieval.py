@@ -154,44 +154,48 @@ def match_probe(probe: Pooled, gallery: GalleryIndex, probe_id: str = "") -> Ret
     return match_probes([(probe_id, probe)], gallery)[0]
 
 
-def _check_ranked_entries(ranking: RetrievalRanking, subject_of: dict[str, str]) -> None:
+Fold = tuple[str, int | None, float | None]  # (probe id, first-hit rank, average precision)
+
+
+def fold(probe_id: str, entry_ids: Sequence[str], truth: dict[str, str], subject_of: dict[str, str]) -> Fold:
+    """What evaluate needs of a probe's entry ids in rank order: the rank of
+    its first true match and its average precision, both None when no gallery
+    entry has its subject. An unknown probe, or a ranking that does not list
+    every gallery entry exactly once, raises MismatchError."""
+    if probe_id not in truth:
+        raise MismatchError(f"unknown probe id {probe_id!r}")
     # Every gallery entry exactly once: a ranking that lists one entry twice
     # in place of another would otherwise score as a complete one.
-    ids = ranking.entry_ids
-    listed = set(ids)
-    if len(ids) != len(subject_of) or listed != subject_of.keys():
+    listed = set(entry_ids)
+    if len(entry_ids) != len(subject_of) or listed != subject_of.keys():
         raise MismatchError(
-            f"probe {ranking.probe_id}: ranking lists {len(ids)} entries, {len(listed)} distinct, "
+            f"probe {probe_id}: ranking lists {len(entry_ids)} entries, {len(listed)} distinct, "
             f"for {len(subject_of)} gallery entries (unknown: {sorted(listed - subject_of.keys())}, "
             f"missing: {sorted(subject_of.keys() - listed)})"
         )
+    subject = truth[probe_id]
+    match_positions = [pos for pos, entry_id in enumerate(entry_ids, start=1) if subject_of[entry_id] == subject]
+    if not match_positions:
+        return probe_id, None, None
+    return probe_id, match_positions[0], float(np.mean([(k + 1) / pos for k, pos in enumerate(match_positions)]))
 
 
-def evaluate(rankings, truth: dict[str, str], subject_of: dict[str, str]) -> EvalReport:
+def evaluate(folds: Iterable[Fold], truth: dict[str, str], subject_of: dict[str, str]) -> EvalReport:
     """CMC curve and mean average precision over subject-level matches, from
-    each probe's true subject (truth) and each gallery entry's subject
-    (subject_of). Every probe in truth must have a ranking, so that a cut
-    rankings file cannot pass for a whole one."""
-    rankings = list(rankings)
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
+    the probes' folds, taken one at a time, and the subject maps of the probes
+    (truth) and the gallery entries (subject_of). Every probe in truth must
+    have a fold, so that a cut rankings file cannot pass for a whole one."""
     hits = np.zeros(len(subject_of))
     aps = []
-    for ranking in rankings:
-        if ranking.probe_id not in truth:
-            raise MismatchError(f"unknown probe id {ranking.probe_id!r}")
-        _check_ranked_entries(ranking, subject_of)
-        subject = truth[ranking.probe_id]
-        match_positions = [
-            pos for pos, entry_id in enumerate(ranking.entry_ids, start=1) if subject_of[entry_id] == subject
-        ]
-        if not match_positions:
-            raise MismatchError(f"probe {ranking.probe_id}: no gallery entry for subject {subject}")
-        hits[match_positions[0] - 1] += 1
-        aps.append(
-            float(np.mean([(k + 1) / pos for k, pos in enumerate(match_positions)]))
-        )
-    ranked = {ranking.probe_id for ranking in rankings}
+    ranked = set()
+    for probe_id, first, ap in folds:
+        if first is None:
+            raise MismatchError(f"probe {probe_id}: no gallery entry for subject {truth[probe_id]}")
+        hits[first - 1] += 1
+        aps.append(ap)
+        ranked.add(probe_id)
+    if not aps:
+        raise ValueError("no rankings to evaluate")
     unranked = [probe_id for probe_id in truth if probe_id not in ranked]
     if unranked:
         raise MismatchError(f"{len(unranked)} truth probes have no ranking (first: {unranked[0]!r})")

@@ -45,7 +45,12 @@ class Workers:
         """Fork a child that runs job() and leaves through os._exit, so that
         none of the parent's cleanup, buffered output or callers run in it."""
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             status = 1
             try:

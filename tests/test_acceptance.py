@@ -36,9 +36,9 @@ from sfr.oracle import (
 from sfr.reconstruction import sfr_distance, sfr_gradients, solve_coefficients
 from sfr.retrieval import (
     ManifestEntry,
-    RetrievalRanking,
     build_gallery,
     evaluate,
+    fold,
     match_probe,
     write_manifest,
 )
@@ -68,8 +68,12 @@ def fm(rng, d, n):
 
 
 def fake_ranking(probe_id, order):
-    n = len(order)
-    return RetrievalRanking(probe_id, tuple(order), np.zeros(n), np.zeros(n), np.arange(n, dtype=float))
+    return probe_id, tuple(order)
+
+
+def evaluate_rankings(rankings, truth, subject_of):
+    """evaluate over the folds of (probe id, entry ids in rank order) pairs."""
+    return evaluate((fold(probe_id, ids, truth, subject_of) for probe_id, ids in rankings), truth, subject_of)
 
 
 def test_criterion_1_ridge_correctness():
@@ -235,12 +239,12 @@ def test_criterion_7_toy_end_to_end(tmp_path, capsys):
 
 def test_criterion_8_evaluation_metrics():
     subject_of = {"g1": "x", "g2": "t", "g3": "y"}
-    single = evaluate([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
+    single = evaluate_rankings([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
     np.testing.assert_array_equal(single.cmc, [0.0, 1.0, 1.0])
 
     two_gallery = {"g1": "a", "g2": "b"}
     rankings = [fake_ranking("p1", ["g1", "g2"]), fake_ranking("p2", ["g1", "g2"])]
-    got = evaluate(rankings, {"p1": "a", "p2": "b"}, two_gallery)
+    got = evaluate_rankings(rankings, {"p1": "a", "p2": "b"}, two_gallery)
     assert got.per_probe_ap == (1.0, 0.5)
     assert got.map == 0.75
     report(8, "CMC and mAP fixtures match hand-computed values exactly")

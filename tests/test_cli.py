@@ -281,31 +281,56 @@ class TestMatchBlocks:
 
     class Unpicklable(list):
         def __reduce__(self):
-            raise TypeError("cannot pickle these rankings")
+            raise TypeError("cannot pickle these folds")
 
     @pytest.mark.skipif(not cli.CAN_FORK, reason="probe workers are forked on Linux only")
     @pytest.mark.parametrize(("fault", "how"), [("unpicklable", "exited with code 1"), ("killed", "was killed by signal 9")])
     def test_a_probe_worker_that_sends_nothing_exit_2(self, tmp_path, monkeypatch, capsys, fault, how):
-        # 70 probes at --workers 2: the forked worker ranks probes 35-69, then
-        # is killed, or writes their part file and cannot send its rankings.
+        # 70 probes at --workers 2: the forked worker ranks probes 35-69 and
+        # is killed as it folds the first, or writes their part file and
+        # cannot send its folds.
         rng = np.random.default_rng(75)
         gallery = make_set(tmp_path, rng, "gal", 35, 1)
         probes = make_set(tmp_path, rng, "prb", 35, 2)
-        parent, rank = os.getpid(), cli._rank
+        parent, fold = os.getpid(), cli.fold
 
-        def rank_in_worker(*args):
-            rankings = rank(*args)
+        def fold_in_worker(*args):
+            folded = fold(*args)
             if os.getpid() == parent:
-                return rankings
+                return folded
             if fault == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            return self.Unpicklable(rankings)
+            return self.Unpicklable(folded)
 
-        monkeypatch.setattr(cli, "_rank", rank_in_worker)
+        monkeypatch.setattr(cli, "fold", fold_in_worker)
         rc, out = self.match(tmp_path, gallery, probes, "--workers", "2")
         assert rc == 2
         assert re.fullmatch(rf"error: probe worker \d+ {how} and sent no result\n", capsys.readouterr().err)
         assert list(out.iterdir()) == []
+
+    def test_probes_without_a_gallery_subject_exit_3_after_every_row_is_written(self, tmp_path, capsys):
+        # 70 probes: at --workers 2, probe 10 is ranked in this process and
+        # probe 50 in the forked worker. Neither has a gallery entry of its
+        # subject, which the summary reports for probe 10, the first in
+        # manifest order, after rankings.csv is whole: subject ids do not
+        # change a row, so its bytes are those of a run that succeeds.
+        rng = np.random.default_rng(76)
+        gallery = make_set(tmp_path, rng, "gal", 35, 1)
+        probes = make_set(tmp_path, rng, "prb", 35, 2)
+        lines = probes.read_text().splitlines()
+        for index in (10, 50):
+            lines[index] = lines[index].replace(f'"subj{index // 2}"', f'"nobody{index}"')
+        no_subject = probes.with_name("no-subject.jsonl")
+        no_subject.write_text("\n".join(lines) + "\n")
+        whole = tmp_path / "whole"
+        assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(whole)]) == 0
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            argv = ["match", "--gallery", str(gallery), "--probes", str(no_subject), "--out", str(out)]
+            assert main(argv + ["--workers", workers]) == 3
+            assert capsys.readouterr().err == "error: probe prb5_0: no gallery entry for subject nobody10\n"
+            assert sorted(p.name for p in out.iterdir()) == ["rankings.csv"]
+            assert (out / "rankings.csv").read_bytes() == (whole / "rankings.csv").read_bytes()
 
     def test_pooling_gets_at_most_one_block_of_maps_per_call(self, tmp_path, monkeypatch):
         # pool_feature_maps stacks every map it is given, so the loader hands
@@ -345,6 +370,27 @@ class TestMatchBlocks:
         added_operators = (256 - 64) * d * d * 8
         one_block = block * d * 122 * 8
         assert peaks[1] - peaks[0] < 1.5 * added_operators + one_block, peaks
+
+    def test_peak_memory_does_not_grow_with_the_probes_rankings(self, tmp_path):
+        # Four times the probes against the same 400-entry gallery, in this
+        # process: each block of 32 probes is ranked, written and folded
+        # before the next, so the peak may grow by one block's rankings (an
+        # entry id and d, r, s per entry) and a fixed bound for the probes'
+        # manifest lines, truth map and folds, not by every probe's ranking.
+        entries, block = 400, 32
+        rng = np.random.default_rng(78)
+        gallery = make_set(tmp_path, rng, "gal", entries, 1)
+        peaks = []
+        for n in (64, 256):
+            probes = make_set(tmp_path, rng, f"prb{n}", n, 1)
+            tracemalloc.start()
+            try:
+                assert self.match(tmp_path, gallery, probes, "--workers", "1")[0] == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_block = block * entries * 4 * 8
+        assert peaks[1] - peaks[0] < one_block + 256 * 1024, peaks
 
 
 class TestEval:
@@ -488,6 +534,48 @@ class TestEval:
         rankings = match_out / "rankings.csv"
         assert main(["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gallery), "--out", str(eval_out)]) == 0
         assert (eval_out / "summary.json").read_bytes() == (match_out / "summary.json").read_bytes()
+
+
+class TestRerun:
+    """A run that fails in an --out directory that a run before it filled
+    leaves the files that it leaves in a fresh one: no earlier run's summary
+    beside its own rankings."""
+
+    @staticmethod
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+    @pytest.mark.parametrize("fault", ["no-subject", "damaged-probe"])
+    def test_match(self, tmp_path, capsys, fault):
+        rng = np.random.default_rng(77)
+        gallery = make_set(tmp_path, rng, "gal", 4, 2)
+        probes = make_set(tmp_path, rng, "prb", 4, 2)
+        argv = ["match", "--gallery", str(gallery), "--probes", str(probes), "--out"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(argv + [str(rerun)]) == 0
+        if fault == "no-subject":
+            probes.write_text(probes.read_text().replace('"subj1"', '"nobody"'))
+        else:
+            damaged = tmp_path / "prb" / "prb_2_1.sfrf"
+            damaged.write_bytes(damaged.read_bytes()[:-4])
+        codes = [main(argv + [str(out)]) for out in (rerun, fresh)]
+        assert codes == ([3, 3] if fault == "no-subject" else [2, 2])
+        assert self.files(rerun) == self.files(fresh)
+        assert "summary.json" not in self.files(rerun)
+
+    def test_eval(self, tmp_path, capsys):
+        rng = np.random.default_rng(79)
+        gallery = make_set(tmp_path, rng, "gal", 4, 2)
+        probes = make_set(tmp_path, rng, "prb", 4, 2)
+        rankings = tmp_path / "match" / "rankings.csv"
+        assert main(["match", "--gallery", str(gallery), "--probes", str(probes), "--out", str(rankings.parent)]) == 0
+        argv = ["eval", "--rankings", str(rankings), "--truth", str(probes), "--gallery", str(gallery), "--out"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(argv + [str(rerun)]) == 0
+        assert sorted(self.files(rerun)) == ["cmc.csv", "summary.json"]
+        rankings.write_text("".join(rankings.read_text().splitlines(keepends=True)[: 1 + 8]))  # one probe of 8
+        assert [main(argv + [str(out)]) for out in (rerun, fresh)] == [3, 3]
+        assert self.files(rerun) == self.files(fresh) == {}
 
 
 class TestVerifyCommand:

@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sfr.cli import _read_rankings_csv, _write_rankings_csv  # noqa: E402
+from sfr.cli import _RANKINGS_HEADER, _read_rankings_csv, _write_rankings_rows  # noqa: E402
 from sfr.encoder import init_params, load_params, save_params  # noqa: E402
 from sfr.errors import FormatError, MismatchError  # noqa: E402
 from sfr.features import (  # noqa: E402
@@ -29,6 +29,12 @@ from sfr.features import (  # noqa: E402
     save_pooled,
 )
 from sfr.retrieval import ManifestEntry, RetrievalRanking, load_manifest, write_manifest  # noqa: E402
+
+
+def _write_rankings(path, rankings) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_RANKINGS_HEADER) + "\n")
+        _write_rankings_rows(fh, rankings)
 
 
 def _bytes_of(save) -> bytes:
@@ -61,7 +67,7 @@ FILES = {
     "checkpoint": (_bytes_of(lambda p: save_params(_PARAMS, p)), load_params, FormatError),
     "manifest": (_bytes_of(lambda p: write_manifest(p, _MANIFEST)), load_manifest, FormatError),
     "rankings": (
-        _bytes_of(lambda p: _write_rankings_csv(p, _RANKINGS)),
+        _bytes_of(lambda p: _write_rankings(p, _RANKINGS)),
         _read_rankings_csv,
         (FormatError, MismatchError),
     ),

@@ -1,5 +1,5 @@
-"""The rankings CSV writer: its bytes equal one f-string line per row for
-arbitrary floats. Needs hypothesis; skipped where it is not installed."""
+"""The rankings CSV row writer: its bytes equal one f-string line per row
+for arbitrary floats. Needs hypothesis; skipped where it is not installed."""
 
 import math
 import tempfile
@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sfr.cli import _write_rankings_csv  # noqa: E402
+from sfr.cli import _write_rankings_rows  # noqa: E402
 from sfr.retrieval import RetrievalRanking  # noqa: E402
 
 
@@ -39,7 +39,7 @@ class TestRankingsWriter:
                                [1.7976931348623157e308, -1e308, 9.99e307, math.inf],
                                [0.1, 1 / 3, -math.inf, 1e-310])])
     def test_bytes_equal_per_row_lines(self, rankings):
-        lines = ["probeId,rank,entryId,d,r,s\n"]
+        lines = []
         for ranking in rankings:
             columns = (ranking.global_dist.tolist(), ranking.sfr_dist.tolist(), ranking.fused.tolist())
             rows = zip(ranking.entry_ids, *columns)
@@ -47,5 +47,6 @@ class TestRankingsWriter:
                 lines.append(f"{ranking.probe_id},{rank},{entry_id},{d:.17g},{r:.17g},{s:.17g}\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rankings.csv"
-            _write_rankings_csv(path, rankings)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                _write_rankings_rows(fh, rankings)
             assert path.read_bytes() == "".join(lines).encode("utf-8")

@@ -11,9 +11,9 @@ from sfr.features import FeatureMatrix, GlobalFeature
 from sfr.metric import global_distances
 from sfr.reconstruction import ReconstructionScorer, sfr_distance
 from sfr.retrieval import (
-    RetrievalRanking,
     build_gallery,
     evaluate,
+    fold,
     load_manifest,
     match_probe,
     match_probes,
@@ -40,8 +40,12 @@ def random_gallery(rng, n, alpha=0.7, dim=6):
 
 
 def fake_ranking(probe_id, order):
-    n = len(order)
-    return RetrievalRanking(probe_id, tuple(order), np.zeros(n), np.zeros(n), np.arange(n, dtype=float))
+    return probe_id, tuple(order)
+
+
+def evaluate_rankings(rankings, truth, subject_of):
+    """evaluate over the folds of (probe id, entry ids in rank order) pairs."""
+    return evaluate((fold(probe_id, ids, truth, subject_of) for probe_id, ids in rankings), truth, subject_of)
 
 
 class TestBuildGallery:
@@ -230,13 +234,13 @@ class TestEvaluation:
     def test_single_probe_match_at_rank_two(self):
         subject_of = {"g1": "x", "g2": "t", "g3": "y"}
         rankings = [fake_ranking("p", ["g1", "g2", "g3"])]
-        cmc = evaluate(rankings, {"p": "t"}, subject_of).cmc
+        cmc = evaluate_rankings(rankings, {"p": "t"}, subject_of).cmc
         np.testing.assert_array_equal(cmc, [0.0, 1.0, 1.0])
 
     def test_all_rank_one(self):
         subject_of = {"g1": "a", "g2": "b"}
         rankings = [fake_ranking("p1", ["g1", "g2"]), fake_ranking("p2", ["g2", "g1"])]
-        cmc = evaluate(rankings, {"p1": "a", "p2": "b"}, subject_of).cmc
+        cmc = evaluate_rankings(rankings, {"p1": "a", "p2": "b"}, subject_of).cmc
         np.testing.assert_array_equal(cmc, [1.0, 1.0])
 
     def test_cmc_monotone_and_matches_enumeration(self):
@@ -252,7 +256,7 @@ class TestEvaluation:
             target = f"s{int(rng.integers(0, n))}"
             truth[f"p{p}"] = target
             best.append(order.index(f"g{target[1:]}") + 1)
-        cmc = evaluate(rankings, truth, subject_of).cmc
+        cmc = evaluate_rankings(rankings, truth, subject_of).cmc
         for k in range(n):
             expected = sum(1 for b in best if b <= k + 1) / 5
             assert cmc[k] == pytest.approx(expected)
@@ -260,31 +264,31 @@ class TestEvaluation:
 
     def test_map_single_true_match(self):
         subject_of = {"g1": "x", "g2": "t"}
-        assert evaluate([fake_ranking("p", ["g2", "g1"])], {"p": "t"}, subject_of).map == 1.0
-        assert evaluate([fake_ranking("p", ["g1", "g2"])], {"p": "t"}, subject_of).map == 0.5
+        assert evaluate_rankings([fake_ranking("p", ["g2", "g1"])], {"p": "t"}, subject_of).map == 1.0
+        assert evaluate_rankings([fake_ranking("p", ["g1", "g2"])], {"p": "t"}, subject_of).map == 0.5
 
     def test_map_hand_mean(self):
         subject_of = {"g1": "a", "g2": "b"}
         rankings = [fake_ranking("p1", ["g1", "g2"]), fake_ranking("p2", ["g1", "g2"])]
         truth = {"p1": "a", "p2": "b"}
-        got = evaluate(rankings, truth, subject_of).map
+        got = evaluate_rankings(rankings, truth, subject_of).map
         assert got == pytest.approx(0.75)  # AP 1.0 and 0.5
 
     def test_multi_match_average_precision(self):
         # matches at positions 1 and 3: AP = (1/1 + 2/3) / 2
         subject_of = {"g1": "t", "g2": "x", "g3": "t"}
-        report = evaluate([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
+        report = evaluate_rankings([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
         assert report.per_probe_ap[0] == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
     def test_probe_without_true_match(self):
         subject_of = {"g1": "a"}
         with pytest.raises(MismatchError, match="no gallery entry"):
-            evaluate([fake_ranking("p", ["g1"])], {"p": "zzz"}, subject_of).cmc
+            evaluate_rankings([fake_ranking("p", ["g1"])], {"p": "zzz"}, subject_of).cmc
 
     def test_unknown_probe_id(self):
         subject_of = {"g1": "a"}
         with pytest.raises(MismatchError, match="unknown probe"):
-            evaluate([fake_ranking("p", ["g1"])], {"other": "a"}, subject_of).cmc
+            evaluate_rankings([fake_ranking("p", ["g1"])], {"other": "a"}, subject_of).cmc
 
     @pytest.mark.parametrize("order, message", [
         (["g1", "g1"], "2 entries, 1 distinct"),
@@ -295,7 +299,7 @@ class TestEvaluation:
         # a ranking listing g1 twice and omitting g2 used to score mAP 1.0
         subject_of = {"g1": "a", "g2": "b"}
         with pytest.raises(MismatchError, match=message):
-            evaluate([fake_ranking("p", order)], {"p": "a"}, subject_of)
+            evaluate_rankings([fake_ranking("p", order)], {"p": "a"}, subject_of)
 
     def test_map_bounds(self):
         rng = np.random.default_rng(49)
@@ -307,8 +311,31 @@ class TestEvaluation:
             order = [f"g{i}" for i in rng.permutation(n)]
             rankings.append(fake_ranking(f"p{p}", order))
             truth[f"p{p}"] = f"s{int(rng.integers(0, 4))}"
-        report = evaluate(rankings, truth, subject_of)
+        report = evaluate_rankings(rankings, truth, subject_of)
         assert 0.0 < report.map <= 1.0
+
+    def test_fold_is_the_first_hit_rank_and_ap_or_none(self):
+        subject_of = {"g1": "a", "g2": "b", "g3": "a"}
+        assert fold("p", ("g2", "g1", "g3"), {"p": "a"}, subject_of) == ("p", 2, (1 / 2 + 2 / 3) / 2)
+        assert fold("p", ("g2", "g1", "g3"), {"p": "zzz"}, subject_of) == ("p", None, None)
+
+    @pytest.mark.parametrize("rankings, message", [
+        ([("p1", ["g1", "g2"]), ("x", ["g1", "g2"])], "probe p1: no gallery entry for subject zzz"),
+        ([("x", ["g1", "g2"]), ("p1", ["g1", "g2"])], "unknown probe id 'x'"),
+        ([("p0", ["g1", "g1"]), ("p1", ["g1", "g2"])], "probe p0: ranking lists 2 entries, 1 distinct"),
+        ([("p1", ["g1", "g2"]), ("p0", ["g1", "g1"])], "probe p1: no gallery entry"),
+        ([("p0", ["g1", "g2"])], "2 truth probes have no ranking \\(first: 'p1'\\)"),
+    ])
+    def test_the_first_mismatch_in_probe_order_is_raised(self, rankings, message):
+        # The folds are made and consumed one at a time, so a probe's
+        # mismatch is raised before any later probe is folded.
+        truth = {"p0": "a", "p1": "zzz", "p2": "b"}
+        with pytest.raises(MismatchError, match=message):
+            evaluate_rankings(rankings, truth, {"g1": "a", "g2": "b"})
+
+    def test_no_folds_is_an_error(self):
+        with pytest.raises(ValueError, match="no rankings"):
+            evaluate(iter(()), {"p": "a"}, {"g1": "a"})
 
 
 class TestManifests:
@@ -400,7 +427,7 @@ class TestEvalOutputs:
 
     def test_summary_json(self, tmp_path):
         subject_of = {"g1": "x", "g2": "t", "g3": "y"}
-        report = evaluate([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
+        report = evaluate_rankings([fake_ranking("p", ["g1", "g2", "g3"])], {"p": "t"}, subject_of)
         path = tmp_path / "summary.json"
         write_summary_json(path, report)
         summary = json.loads(path.read_text())

@@ -2,6 +2,7 @@
 autouse fixture in conftest.py checks after every test that no child is
 left."""
 
+import errno
 import os
 import signal
 import time
@@ -105,3 +106,17 @@ def test_a_child_that_sends_nothing_is_reported_with_its_exit(job, how):
         workers.submit(job)
         with pytest.raises(ChildProcessError, match=rf"^test worker \d+ {how} and sent no result$"):
             list(workers.results())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+def test_a_failed_fork_closes_both_ends_of_its_pipe(monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as raised:
+        with Workers("test") as workers:
+            workers.submit(lambda: None)
+    assert raised.value.errno == errno.EAGAIN
+    assert sorted(os.listdir("/proc/self/fd")) == before

@@ -7,7 +7,9 @@ importing `sfr` from this checkout's `src/` and the match workloads' input
 generator from `perfbench/workloads.py`. Run it in two checkouts (for
 example a change and its parent) and compare with `diff -r OUT_A OUT_B`: no
 output means every command wrote the same bytes, printed the same text and
-exited with the same code.
+exited with the same code. BLAS runs one thread, or as many as
+`OPENBLAS_NUM_THREADS` gives (`OPENBLAS_NUM_THREADS=2 python3
+tools/snapshot_outputs.py OUT`).
 
 Each command gets a directory holding its output files, `stdout.txt`,
 `stderr.txt` and `exit_code`:
@@ -170,9 +172,11 @@ def main(argv: list[str]) -> int:
     if out.exists():
         print(f"error: {out} exists; give a new directory", file=sys.stderr)
         return 2
-    # One BLAS thread, as in the benchmark, set before numpy is imported.
+    # OPENBLAS_NUM_THREADS BLAS threads, one (as in the benchmark) when it is
+    # unset, for every BLAS, set before numpy is imported.
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+        os.environ[var] = threads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
     demo = out / "train-demo"
